@@ -110,37 +110,33 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
-    with open(args.path, "r", encoding="utf-8") as fp:
+def _histories(path):
+    """Parse a history file, one history per non-blank line.
+
+    A parse error raises ValueError naming `path:line:column:`.
+    """
+    with open(path, "r", encoding="utf-8") as fp:
         for lineno, raw in enumerate(fp, 1):
             line = raw.strip()
             if not line:
                 continue
             try:
-                h = parse(line)
+                yield parse(line)
             except HistoryParseError as exc:
-                print(f"{args.path}:{lineno}:{exc.column}: {exc}", file=sys.stderr)
-                return EXIT_FAILURE
-            print(verdict_line(h))
+                raise ValueError(f"{path}:{lineno}:{exc.column}: {exc}") from None
+
+
+def cmd_check(args) -> int:
+    for h in _histories(args.path):
+        print(verdict_line(h))
     return EXIT_OK
 
 
 def cmd_replay(args) -> int:
-    with open(args.path, "r", encoding="utf-8") as fp:
-        for lineno, raw in enumerate(fp, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                h = parse(line)
-            except HistoryParseError as exc:
-                print(f"{args.path}:{lineno}:{exc.column}: {exc}", file=sys.stderr)
-                return EXIT_FAILURE
-            decisions = replay_policy(h, args.policy)
-            report = " ".join(
-                f"txn{t}={decisions[t]}" for t in sorted(decisions)
-            )
-            print(f"{h.format()} :: {report}")
+    for h in _histories(args.path):
+        decisions = replay_policy(h, args.policy)
+        report = " ".join(f"txn{t}={decisions[t]}" for t in sorted(decisions))
+        print(f"{h.format()} :: {report}")
     return EXIT_OK
 
 

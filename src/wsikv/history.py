@@ -64,13 +64,6 @@ class HistoryEvent:
 class History:
     events: list[HistoryEvent] = field(default_factory=list)
 
-    def txn_ids(self) -> list[int]:
-        seen = []
-        for ev in self.events:
-            if ev.txn not in seen:
-                seen.append(ev.txn)
-        return seen
-
     def committed_txns(self) -> list[int]:
         return sorted(ev.txn for ev in self.events if ev.kind == "c")
 
@@ -149,10 +142,11 @@ def parse(text: str) -> History:
 def replay_policy(h: History, policy: IsolationPolicy) -> dict[int, CommitDecision]:
     """Drive a fresh engine with the history's events in order.
 
-    Transactions begin at their first event's position. Every item carries an
-    implicit initial version committed before all transaction starts. Returns
-    the decision per terminated transaction; commit events get the oracle's
-    decision, abort events an aborted one.
+    Transactions begin at their first event's position. Every item first gets
+    an initial version, committed by one seeding transaction per item before
+    any history transaction starts. Returns the decision per terminated
+    transaction; commit events get the oracle's decision, abort events an
+    aborted one with cause "client".
     """
     db = Database(policy=policy)
     for item in h.items():
@@ -171,14 +165,14 @@ def replay_policy(h: History, policy: IsolationPolicy) -> dict[int, CommitDecisi
             decisions[ev.txn] = handle.commit()
         else:
             handle.abort()
-            decisions[ev.txn] = CommitDecision(False)
+            decisions[ev.txn] = CommitDecision(False, cause="client")
     return decisions
 
 
-def admissible(h: History, policy: IsolationPolicy) -> bool:
-    """True iff every commit event in h receives a Committed decision."""
+def rejected(h: History, policy: IsolationPolicy) -> list[int]:
+    """Transactions that commit in h but that the policy's replay aborts."""
     decisions = replay_policy(h, policy)
-    return all(decisions[t].committed for t in h.committed_txns())
+    return [t for t in h.committed_txns() if not decisions[t].committed]
 
 
 # -- independent execution model ----------------------------------------------
@@ -289,14 +283,13 @@ def construct_serial(h: History) -> History:
     to just after its start and a write transaction's to just before its
     commit. Aborted and unterminated transactions are excluded.
     """
-    decisions = replay_policy(h, IsolationPolicy.WSI)
-    committed = h.committed_txns()
-    rejected = [t for t in committed if not decisions[t].committed]
-    if rejected:
+    refused = rejected(h, IsolationPolicy.WSI)
+    if refused:
         raise NotAdmissibleError(
             "history is not admissible under write-snapshot isolation "
-            f"(rejected: {rejected})"
+            f"(rejected: {refused})"
         )
+    committed = h.committed_txns()
     first_pos: dict[int, int] = {}
     commit_pos: dict[int, int] = {}
     writes: set[int] = set()
@@ -318,11 +311,10 @@ def verdict_line(h: History) -> str:
     """One-line report: admissibility under each policy plus serializability."""
 
     def leg(name: str, policy: IsolationPolicy) -> str:
-        decisions = replay_policy(h, policy)
-        rejected = [t for t in h.committed_txns() if not decisions[t].committed]
-        if not rejected:
+        refused = rejected(h, policy)
+        if not refused:
             return f"{name}:admissible"
-        return f"{name}:" + "+".join(f"txn{t}" for t in rejected) + "-aborted"
+        return f"{name}:" + "+".join(f"txn{t}" for t in refused) + "-aborted"
 
     verdict = is_serializable(h)
     if verdict.serializable:

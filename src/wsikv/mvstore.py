@@ -119,7 +119,7 @@ class VersionedStore:
                 else:
                     del self._cells[row]
 
-    # -- introspection / fixtures ---------------------------------------------
+    # -- introspection --------------------------------------------------------
 
     def versions(self, row: bytes) -> list[CellVersion]:
         """Versions of a row, newest writer first."""
@@ -129,24 +129,3 @@ class VersionedStore:
     def rows(self) -> list[bytes]:
         with self._lock:
             return sorted(self._cells)
-
-    def dump(self, fp) -> None:
-        """Write `row<TAB>writerStartTs<TAB>hexvalue` lines (test fixtures).
-
-        Row identifiers must be valid UTF-8 without tabs or newlines.
-        """
-        with self._lock:
-            for row in sorted(self._cells):
-                for v in self._cells[row]:
-                    fp.write(f"{row.decode('utf-8')}\t{v.writer_start_ts}\t{v.value.hex()}\n")
-
-    @classmethod
-    def load(cls, fp) -> "VersionedStore":
-        store = cls()
-        for line in fp:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            row, ts, value = line.split("\t")
-            store.put_tentative(row.encode("utf-8"), int(ts), bytes.fromhex(value))
-        return store

@@ -1,12 +1,15 @@
 """Status oracle: conflict detection, commit timestamps, transaction outcomes.
 
-Commit requests carry row-identifier sets. Under snapshot isolation the
-write set is checked against the last committer of each row; under
-write-snapshot isolation the read set is checked instead and read-only
-requests (empty write set) commit without any checking. A bounded variant
-tracks only the most recently committed rows and keeps a watermark t_max,
-the largest commit timestamp ever evicted: a request touching an untracked
-row pessimistically aborts when its start timestamp is below the watermark.
+Every commit request goes through `StatusOracle.submit` with row-identifier
+sets. Under snapshot isolation the write set is checked against the last
+committer of each row; under write-snapshot isolation the read set is
+checked instead and read-only requests (empty write set) commit without any
+checking. A bounded table tracks only the most recently committed rows and
+keeps a watermark t_max, the largest commit timestamp ever evicted: a
+request touching an untracked row pessimistically aborts when its start
+timestamp is below the watermark. An abort decision names its cause:
+"conflict" or "pessimistic" from the oracle, "client" for an abort the
+client asked for.
 """
 
 from __future__ import annotations
@@ -37,10 +40,6 @@ class AlreadyCommittedError(OracleError):
     """report_abort targeted a committed transaction."""
 
 
-class PolicyError(OracleError):
-    """Request used the wrong entry point for this oracle's policy/capacity."""
-
-
 class IsolationPolicy(enum.Enum):
     SI = "si"
     WSI = "wsi"
@@ -69,6 +68,7 @@ class TxnStatus:
 class CommitDecision:
     committed: bool
     commit_ts: int | None = None
+    cause: str | None = None  # why an abort happened; None on commit
 
     def __str__(self) -> str:
         return f"committed({self.commit_ts})" if self.committed else "aborted"
@@ -90,7 +90,7 @@ class CommitTable:
         self.t_max = 0
         self.commit_records: dict[int, int] = {}
         self.aborted: set[int] = set()
-        self._by_commit: list[tuple[int, RowId]] = []  # eviction order
+        self._by_commit: list[tuple[int, RowId]] = []  # eviction order, if bounded
 
     def decided(self, start_ts: int) -> bool:
         return start_ts in self.commit_records or start_ts in self.aborted
@@ -99,15 +99,15 @@ class CommitTable:
         self.commit_records[start_ts] = commit_ts
         for row in rows:
             self.last_commit[row] = commit_ts
-            heapq.heappush(self._by_commit, (commit_ts, row))
-        self._evict()
+        if self.capacity is not None:  # an unbounded table never evicts
+            for row in rows:
+                heapq.heappush(self._by_commit, (commit_ts, row))
+            self._evict()
 
     def record_abort(self, start_ts: int) -> None:
         self.aborted.add(start_ts)
 
     def _evict(self) -> None:
-        if self.capacity is None:
-            return
         while len(self.last_commit) > self.capacity:
             ts, row = heapq.heappop(self._by_commit)
             if self.last_commit.get(row) != ts:
@@ -144,28 +144,51 @@ class StatusOracle:
         self.read_only_commits = 0
         self.conflict_aborts = 0
         self.pessimistic_aborts = 0
-        self._pessimistic: set[int] = set()
-
-    # -- commit entry points -------------------------------------------------
-
-    def commit_si(self, start_ts: int, write_set) -> CommitDecision:
-        self._require(IsolationPolicy.SI, unbounded=True)
-        return self._decide(start_ts, frozenset(write_set), frozenset())
-
-    def commit_wsi(self, start_ts: int, write_set, read_set) -> CommitDecision:
-        self._require(IsolationPolicy.WSI, unbounded=True)
-        return self._decide(start_ts, frozenset(write_set), frozenset(read_set))
-
-    def commit_bounded(self, start_ts: int, write_set, read_set) -> CommitDecision:
-        return self._decide(start_ts, frozenset(write_set), frozenset(read_set))
 
     def submit(self, start_ts: int, write_set, read_set=()) -> CommitDecision:
-        """Route to the policy- and capacity-appropriate commit operation."""
-        if self.table.capacity is not None:
-            return self.commit_bounded(start_ts, write_set, read_set)
-        if self.policy is IsolationPolicy.SI:
-            return self.commit_si(start_ts, write_set)
-        return self.commit_wsi(start_ts, write_set, read_set)
+        """Decide a commit request; the read set is checked only under WSI."""
+        write_set = frozenset(write_set)
+        read_set = frozenset(read_set)
+        wsi = self.policy is IsolationPolicy.WSI
+        if wsi and not write_set and read_set:
+            log.warning(
+                "read-only commit request %d carried %d read rows; "
+                "clients should send empty sets",
+                start_ts,
+                len(read_set),
+            )
+        ack = None
+        with self._lock:
+            table = self.table
+            if table.decided(start_ts):
+                raise DuplicateRequestError(
+                    f"transaction {start_ts} already has a decision"
+                )
+            cause = None
+            if write_set or not wsi:  # WSI read-only requests skip the check
+                # sorted scan: abort classification must not depend on set order
+                for row in sorted(read_set if wsi else write_set):
+                    last = table.last_commit.get(row)
+                    if last is not None:
+                        if last > start_ts:
+                            cause = "conflict"
+                            break
+                    elif table.t_max > start_ts:
+                        cause = "pessimistic"
+                        break
+            if cause is None:
+                decision, ack = self._commit_locked(start_ts, write_set)
+            else:
+                table.record_abort(start_ts)
+                if cause == "pessimistic":
+                    self.pessimistic_aborts += 1
+                else:
+                    self.conflict_aborts += 1
+                ack = self._append(WalRecord(KIND_ABORT, start_ts))
+                decision = CommitDecision(False, cause=cause)
+        if ack is not None:
+            ack.wait()  # write-ahead discipline: durable before observable
+        return decision
 
     # -- status --------------------------------------------------------------
 
@@ -185,10 +208,6 @@ class StatusOracle:
     def is_aborted(self, start_ts: int) -> bool:
         return start_ts in self.table.aborted
 
-    def was_pessimistic(self, start_ts: int) -> bool:
-        """Whether an abort of this transaction came from the t_max check."""
-        return start_ts in self._pessimistic
-
     def report_abort(self, start_ts: int) -> None:
         """Record a client-side abandonment; idempotent."""
         ack = None
@@ -204,62 +223,6 @@ class StatusOracle:
             ack.wait()
 
     # -- internals -----------------------------------------------------------
-
-    def _require(self, policy: IsolationPolicy, unbounded: bool) -> None:
-        if self.policy is not policy:
-            raise PolicyError(f"oracle is configured for {self.policy.value}")
-        if unbounded and self.table.capacity is not None:
-            raise PolicyError("bounded oracles take requests via commit_bounded")
-
-    def _decide(
-        self, start_ts: int, write_set: frozenset, read_set: frozenset
-    ) -> CommitDecision:
-        ack = None
-        with self._lock:
-            table = self.table
-            if table.decided(start_ts):
-                raise DuplicateRequestError(
-                    f"transaction {start_ts} already has a decision"
-                )
-            if self.policy is IsolationPolicy.WSI and not write_set:
-                # Read-only fast path: committed with no conflict check.
-                if read_set:
-                    log.warning(
-                        "read-only commit request %d carried %d read rows; "
-                        "clients should send empty sets",
-                        start_ts,
-                        len(read_set),
-                    )
-                decision, ack = self._commit_locked(start_ts, frozenset())
-            else:
-                checked = read_set if self.policy is IsolationPolicy.WSI else write_set
-                conflict = False
-                pessimistic = False
-                # sorted scan: abort classification must not depend on set order
-                for row in sorted(checked):
-                    last = table.last_commit.get(row)
-                    if last is not None:
-                        if last > start_ts:
-                            conflict = True
-                            break
-                    elif table.t_max > start_ts:
-                        conflict = True
-                        pessimistic = True
-                        break
-                if conflict:
-                    table.record_abort(start_ts)
-                    if pessimistic:
-                        self.pessimistic_aborts += 1
-                        self._pessimistic.add(start_ts)
-                    else:
-                        self.conflict_aborts += 1
-                    ack = self._append(WalRecord(KIND_ABORT, start_ts))
-                    decision = CommitDecision(False)
-                else:
-                    decision, ack = self._commit_locked(start_ts, write_set)
-        if ack is not None:
-            ack.wait()  # write-ahead discipline: durable before observable
-        return decision
 
     def _commit_locked(self, start_ts: int, write_set: frozenset):
         tc = self.timestamps.next()

@@ -117,15 +117,21 @@ class Database:
         )
 
     def begin(self) -> Transaction:
-        ts = self.timestamps.next()
+        # Drawn and registered in one step: a gc() between the two would set
+        # its watermark above this start and compact a version it must read.
+        # Lock order: _active_lock, then the timestamp lock, as in gc().
         with self._active_lock:
+            ts = self.timestamps.next()
             self._active.add(ts)
         return Transaction(self, ts)
 
-    def seed_committed(self, row: bytes, value: bytes, writer_ts: int = 0) -> None:
-        """Install an initial version visible to every transaction (fixtures)."""
-        self.store.put_tentative(row, writer_ts, value)
-        self.oracle.table.commit_records.setdefault(writer_ts, writer_ts)
+    def seed_committed(self, row: bytes, value: bytes) -> None:
+        """Commit one write-only transaction installing `row`, visible to
+        every transaction that begins afterwards."""
+        h = self.begin()
+        h.write(row, value)
+        if not h.commit().committed:
+            raise RuntimeError(f"seeding {row!r} aborted on a concurrent write")
 
     def gc(self) -> None:
         """Compact committed versions invisible to every current and future reader."""

@@ -21,7 +21,7 @@ import random
 import struct
 import threading
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 from .oracle import IsolationPolicy, StatusOracle
 from .timestamps import TimestampOracle
@@ -65,29 +65,6 @@ class WorkloadSpec:
             raise ValueError("ops_per_txn_max must be non-negative")
         if self.txn_count < 0 or self.client_count < 1:
             raise ValueError("txn_count must be >= 0 and client_count >= 1")
-
-    @classmethod
-    def from_config(cls, path) -> "WorkloadSpec":
-        """Load from a plain key=value file; # starts a comment."""
-        kinds = {f.name: f.type for f in fields(cls)}
-        values = {}
-        with open(path, "r", encoding="utf-8") as fp:
-            for lineno, raw in enumerate(fp, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in kinds:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                if key in ("mix", "distribution"):
-                    values[key] = value
-                elif key == "zipf_constant" or key == "read_fraction":
-                    values[key] = float(value)
-                else:
-                    values[key] = int(value)
-        return cls(**values)
 
 
 # -- key distributions ---------------------------------------------------------
@@ -206,38 +183,6 @@ def generate_txn(spec: WorkloadSpec, rng: random.Random, dist=None) -> list[tupl
 # -- metrics --------------------------------------------------------------------
 
 
-class LatencyHistogram:
-    """Power-of-two microsecond buckets; percentiles report bucket upper bounds."""
-
-    __slots__ = ("counts", "total")
-
-    def __init__(self):
-        self.counts = [0] * 64
-        self.total = 0
-
-    def add(self, seconds: float) -> None:
-        us = int(seconds * 1e6)
-        self.counts[min(63, us.bit_length())] += 1
-        self.total += 1
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.total += other.total
-
-    def percentile(self, q: float) -> float:
-        """Upper bound (microseconds) of the bucket holding the q-quantile."""
-        if self.total == 0:
-            return 0.0
-        need = max(1, math.ceil(q * self.total))
-        seen = 0
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= need:
-                return float(2**i)
-        return float(2**63)
-
-
 @dataclass
 class RunMetrics:
     committed: int = 0
@@ -246,7 +191,6 @@ class RunMetrics:
     read_only_committed: int = 0
     read_only_aborted: int = 0
     wall_seconds: float = 0.0
-    latency_us: dict[str, LatencyHistogram] = field(default_factory=dict)
 
     @property
     def abort_rate(self) -> float:
@@ -267,6 +211,32 @@ class RunMetrics:
 
 # -- execution --------------------------------------------------------------------
 
+GC_EVERY = 2000  # client 0 compacts the store after every GC_EVERY transactions
+
+
+def _drive(clients: int, total: int, worker) -> tuple[list, float]:
+    """Split `total` operations across `clients` threads and run them together.
+
+    Each thread calls worker(idx, share, ready): the worker prepares, calls
+    ready() to wait for the others and then does its `share` of the work.
+    The wall clock spans every thread from start to join, preparation
+    included. Returns (per-client worker results, wall seconds).
+    """
+    shares = [total // clients + (1 if i < total % clients else 0) for i in range(clients)]
+    results = [None] * clients
+    barrier = threading.Barrier(clients)
+
+    def body(idx: int) -> None:
+        results[idx] = worker(idx, shares[idx], barrier.wait)
+
+    threads = [threading.Thread(target=body, args=(i,)) for i in range(clients)]
+    t_start = time.perf_counter()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return results, time.perf_counter() - t_start
+
 
 def run(
     spec: WorkloadSpec,
@@ -274,7 +244,6 @@ def run(
     *,
     wal_path=None,
     capacity: int | None = None,
-    gc_every: int | None = 2000,
 ) -> RunMetrics:
     """Execute txn_count scripts across client_count concurrent clients.
 
@@ -282,64 +251,39 @@ def run(
     """
     wal = WriteAheadLog(wal_path) if wal_path else None
     db = Database(policy, capacity=capacity, wal=wal)
-    clients = spec.client_count
-    shares = [spec.txn_count // clients + (1 if i < spec.txn_count % clients else 0) for i in range(clients)]
-    results = [None] * clients
-    barrier = threading.Barrier(clients)
 
-    def worker(idx: int) -> None:
+    def worker(idx: int, share: int, ready) -> RunMetrics:
         rng = random.Random(spec.seed * 1_000_003 + idx)
         dist = make_distribution(spec)
-        hist = {k: LatencyHistogram() for k in ("begin", "read", "write", "commit")}
-        committed = aborted = ro_committed = ro_aborted = 0
+        m = RunMetrics()
         value = _ROW.pack(idx)
-        barrier.wait()
-        for i in range(shares[idx]):
+        ready()
+        for i in range(share):
             script = generate_txn(spec, rng, dist)
             read_only = all(kind == "r" for kind, _ in script)
-            t0 = time.perf_counter()
             h = db.begin()
-            hist["begin"].add(time.perf_counter() - t0)
             for kind, row in script:
-                t0 = time.perf_counter()
                 if kind == "r":
                     h.read(row)
-                    hist["read"].add(time.perf_counter() - t0)
                 else:
                     h.write(row, value)
-                    hist["write"].add(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            decision = h.commit()
-            hist["commit"].add(time.perf_counter() - t0)
-            if decision.committed:
-                committed += 1
-                ro_committed += read_only
+            if h.commit().committed:
+                m.committed += 1
+                m.read_only_committed += read_only
             else:
-                aborted += 1
-                ro_aborted += read_only
-            if gc_every and idx == 0 and (i + 1) % gc_every == 0:
+                m.aborted += 1
+                m.read_only_aborted += read_only
+            if idx == 0 and (i + 1) % GC_EVERY == 0:
                 db.gc()
-        results[idx] = (committed, aborted, ro_committed, ro_aborted, hist)
+        return m
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(clients)]
-    t_start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    wall = time.perf_counter() - t_start
-
-    metrics = RunMetrics(wall_seconds=wall)
-    metrics.latency_us = {k: LatencyHistogram() for k in ("begin", "read", "write", "commit")}
-    for res in results:
-        committed, aborted, ro_c, ro_a, hist = res
-        metrics.committed += committed
-        metrics.aborted += aborted
-        metrics.read_only_committed += ro_c
-        metrics.read_only_aborted += ro_a
-        for k, hg in hist.items():
-            metrics.latency_us[k].merge(hg)
-    metrics.pessimistic_aborts = db.oracle.pessimistic_aborts
+    results, wall = _drive(spec.client_count, spec.txn_count, worker)
+    metrics = RunMetrics(wall_seconds=wall, pessimistic_aborts=db.oracle.pessimistic_aborts)
+    for m in results:
+        metrics.committed += m.committed
+        metrics.aborted += m.aborted
+        metrics.read_only_committed += m.read_only_committed
+        metrics.read_only_aborted += m.read_only_aborted
     if wal is not None:
         wal.close()
     return metrics
@@ -354,16 +298,23 @@ class BenchResult:
     aborted: int
     pessimistic_aborts: int
     wall_seconds: float
-    latency: LatencyHistogram
+    latencies: list[float]  # seconds per decision, ascending
 
     @property
     def decisions_per_sec(self) -> float:
         return self.requests / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
+    def percentile(self, q: float) -> float:
+        """Nearest-rank q-quantile of the decision latencies, in microseconds."""
+        if not self.latencies:
+            return 0.0
+        rank = max(1, math.ceil(q * len(self.latencies)))
+        return self.latencies[rank - 1] * 1e6
+
     def csv_row(self) -> str:
         return (
             f"{self.policy.value},{self.clients},{self.decisions_per_sec:.0f},"
-            f"{self.latency.percentile(0.50):.0f},{self.latency.percentile(0.99):.0f},"
+            f"{self.percentile(0.50):.0f},{self.percentile(0.99):.0f},"
             f"{self.pessimistic_aborts}"
         )
 
@@ -381,54 +332,36 @@ def bench_oracle(
     """Drive the status oracle directly with synthetic commit requests."""
     timestamps = TimestampOracle()
     oracle = StatusOracle(timestamps, policy, capacity=capacity)
-    shares = [requests // clients + (1 if i < requests % clients else 0) for i in range(clients)]
-    results = [None] * clients
-    barrier = threading.Barrier(clients)
 
-    def worker(idx: int) -> None:
+    def worker(idx: int, share: int, ready) -> tuple[int, list[float]]:
         rng = random.Random(seed * 7_654_321 + idx)
         scripts = [
             (
                 frozenset(_ROW.pack(rng.randrange(key_space)) for _ in range(rows_per_txn)),
                 frozenset(_ROW.pack(rng.randrange(key_space)) for _ in range(rows_per_txn)),
             )
-            for _ in range(shares[idx])
+            for _ in range(share)
         ]
-        hist = LatencyHistogram()
-        committed = aborted = 0
-        barrier.wait()
+        clock = time.perf_counter
+        latencies = []
+        committed = 0
+        ready()
         for write_set, read_set in scripts:
             start = timestamps.next()
-            t0 = time.perf_counter()
-            decision = oracle.submit(start, write_set, read_set)
-            hist.add(time.perf_counter() - t0)
-            if decision.committed:
-                committed += 1
-            else:
-                aborted += 1
-        results[idx] = (committed, aborted, hist)
+            t0 = clock()
+            committed += oracle.submit(start, write_set, read_set).committed
+            latencies.append(clock() - t0)
+        return committed, latencies
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(clients)]
-    t_start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    wall = time.perf_counter() - t_start
-
-    hist = LatencyHistogram()
-    committed = aborted = 0
-    for res in results:
-        committed += res[0]
-        aborted += res[1]
-        hist.merge(res[2])
+    results, wall = _drive(clients, requests, worker)
+    committed = sum(c for c, _ in results)
     return BenchResult(
         policy=policy,
         clients=clients,
         requests=requests,
         committed=committed,
-        aborted=aborted,
+        aborted=requests - committed,
         pessimistic_aborts=oracle.pessimistic_aborts,
         wall_seconds=wall,
-        latency=hist,
+        latencies=sorted(t for _, lat in results for t in lat),
     )

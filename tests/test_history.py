@@ -12,6 +12,7 @@ from wsikv.history import (
     is_serializable,
     observe,
     parse,
+    rejected,
     replay_policy,
     verdict_line,
     view_equivalent,
@@ -94,16 +95,21 @@ def test_parse_format_round_trip(text):
 # -- policy replay ----------------------------------------------------------------
 
 
-def admissible(text, policy):
-    h = parse(text)
-    decisions = replay_policy(h, policy)
-    return all(decisions[t].committed for t in h.committed_txns())
-
-
 def rejected_txns(text, policy):
-    h = parse(text)
-    decisions = replay_policy(h, policy)
-    return [t for t in h.committed_txns() if not decisions[t].committed]
+    return rejected(parse(text), policy)
+
+
+def admissible(text, policy):
+    return not rejected_txns(text, policy)
+
+
+def test_replay_decisions_carry_abort_causes():
+    d = replay_policy(parse("r1[x] r2[x] w2[x] w1[x] c1 c2 w3[y] a3"), SI)
+    assert [(d[t].committed, d[t].cause) for t in (1, 2, 3)] == [
+        (True, None),
+        (False, "conflict"),
+        (False, "client"),
+    ]
 
 
 def test_disjoint_write_skew_admissible_under_si_only():

@@ -1,4 +1,3 @@
-import io
 import random
 
 import pytest
@@ -153,21 +152,6 @@ def test_reads_match_brute_force_and_never_see_future_commits(seed, reader_start
     if got is not None and got != b"w%d" % reader_start:
         writer = int(got[1:])
         assert commits[writer] < reader_start
-
-
-def test_dump_load_round_trip():
-    store = VersionedStore()
-    store.put_tentative(b"x", 5, b"\x00\xff")
-    store.put_tentative(b"x", 7, b"hello")
-    store.put_tentative(b"y", 2, b"")
-    buf = io.StringIO()
-    store.dump(buf)
-    text = buf.getvalue()
-    assert "x\t5\t00ff\n" in text
-    loaded = VersionedStore.load(io.StringIO(text))
-    assert loaded.rows() == store.rows()
-    for row in store.rows():
-        assert loaded.versions(row) == store.versions(row)
 
 
 def test_compact_preserves_reads_at_or_above_watermark():

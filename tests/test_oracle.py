@@ -16,7 +16,6 @@ from wsikv.oracle import (
     CommitTable,
     DuplicateRequestError,
     IsolationPolicy,
-    PolicyError,
     StatusOracle,
     TxnState,
 )
@@ -36,8 +35,8 @@ def make_oracle(policy, capacity=None, start_after=0, table=None):
 def test_si_disjoint_writers_both_commit():
     oracle, ts = make_oracle(SI)
     assert ts.next() == 1 and ts.next() == 2  # two transaction starts
-    d1 = oracle.commit_si(1, {b"y"})
-    d2 = oracle.commit_si(2, {b"x"})
+    d1 = oracle.submit(1, {b"y"})
+    d2 = oracle.submit(2, {b"x"})
     assert (d1.committed, d1.commit_ts) == (True, 3)
     assert (d2.committed, d2.commit_ts) == (True, 4)
 
@@ -45,10 +44,11 @@ def test_si_disjoint_writers_both_commit():
 def test_si_write_write_conflict_aborts_later_committer():
     oracle, ts = make_oracle(SI)
     ts.next(), ts.next()
-    d2 = oracle.commit_si(2, {b"x"})
+    d2 = oracle.submit(2, {b"x"})
     assert (d2.committed, d2.commit_ts) == (True, 3)
-    d1 = oracle.commit_si(1, {b"x"})  # lastCommit(x)=3 > 1
-    assert not d1.committed
+    d1 = oracle.submit(1, {b"x"})  # lastCommit(x)=3 > 1
+    assert (d1.committed, d1.cause) == (False, "conflict")
+    assert d2.cause is None
     assert oracle.query_status(1).state is TxnState.ABORTED
 
 
@@ -56,17 +56,17 @@ def test_si_empty_write_set_always_commits():
     oracle, ts = make_oracle(SI)
     for _ in range(5):
         ts.next()
-    oracle.commit_si(2, {b"x"})
-    decision = oracle.commit_si(5, set())
+    oracle.submit(2, {b"x"})
+    decision = oracle.submit(5, set())
     assert decision.committed
 
 
 def test_conflict_abort_leaves_conflict_state_untouched():
     oracle, ts = make_oracle(SI)
     ts.next(), ts.next()
-    oracle.commit_si(2, {b"x"})
+    oracle.submit(2, {b"x"})
     before = dict(oracle.table.last_commit)
-    oracle.commit_si(1, {b"x", b"z"})
+    oracle.submit(1, {b"x", b"z"})
     assert oracle.table.last_commit == before
 
 
@@ -76,18 +76,18 @@ def test_conflict_abort_leaves_conflict_state_untouched():
 def test_wsi_write_skew_is_rejected():
     oracle, ts = make_oracle(WSI)
     ts.next(), ts.next()
-    d1 = oracle.commit_wsi(1, {b"x"}, {b"x", b"y"})
+    d1 = oracle.submit(1, {b"x"}, {b"x", b"y"})
     assert (d1.committed, d1.commit_ts) == (True, 3)
-    d2 = oracle.commit_wsi(2, {b"y"}, {b"x", b"y"})  # lastCommit(x)=3 > 2
+    d2 = oracle.submit(2, {b"y"}, {b"x", b"y"})  # lastCommit(x)=3 > 2
     assert not d2.committed
 
 
 def test_wsi_blind_write_is_allowed():
     oracle, ts = make_oracle(WSI)
     ts.next(), ts.next()
-    d1 = oracle.commit_wsi(1, {b"x"}, {b"x"})
+    d1 = oracle.submit(1, {b"x"}, {b"x"})
     assert (d1.committed, d1.commit_ts) == (True, 3)
-    d2 = oracle.commit_wsi(2, {b"x"}, set())  # empty read set: no check
+    d2 = oracle.submit(2, {b"x"}, set())  # empty read set: no check
     assert (d2.committed, d2.commit_ts) == (True, 4)
 
 
@@ -95,9 +95,9 @@ def test_wsi_no_read_write_overlap_commits_despite_concurrency():
     # a concurrent committer touching a row outside the read set is harmless
     oracle, ts = make_oracle(WSI)
     ts.next(), ts.next()  # txn_n=1, txn_c=2
-    dc = oracle.commit_wsi(2, {b"rprime"}, set())
+    dc = oracle.submit(2, {b"rprime"}, set())
     assert dc.committed
-    dn = oracle.commit_wsi(1, {b"rprime"}, {b"r"})
+    dn = oracle.submit(1, {b"rprime"}, {b"r"})
     assert dn.committed
 
 
@@ -105,7 +105,7 @@ def test_wsi_read_only_fast_path_commits_with_no_state_change():
     oracle, ts = make_oracle(WSI)
     for _ in range(7):
         ts.next()
-    decision = oracle.commit_wsi(7, set(), set())
+    decision = oracle.submit(7, set(), set())
     assert decision.committed
     assert oracle.table.last_commit == {}
     assert oracle.read_only_commits == 1
@@ -115,17 +115,36 @@ def test_wsi_read_only_with_read_rows_commits_but_warns(caplog):
     oracle, ts = make_oracle(WSI)
     ts.next()
     with caplog.at_level(logging.WARNING, logger="wsikv.oracle"):
-        decision = oracle.commit_wsi(1, set(), {b"x"})
+        decision = oracle.submit(1, set(), {b"x"})
     assert decision.committed
     assert any("read-only" in rec.message for rec in caplog.records)
+
+
+def test_read_only_warning_is_logged_outside_the_critical_section():
+    oracle, ts = make_oracle(WSI)
+    ts.next()
+    lock_held = []
+
+    class Probe(logging.Handler):
+        def emit(self, record):
+            lock_held.append(oracle._lock.locked())
+
+    logger = logging.getLogger("wsikv.oracle")
+    probe = Probe(logging.WARNING)
+    logger.addHandler(probe)
+    try:
+        assert oracle.submit(1, set(), {b"x"}).committed
+    finally:
+        logger.removeHandler(probe)
+    assert lock_held == [False]
 
 
 def test_read_only_never_aborted_even_under_heavy_conflicts():
     oracle, ts = make_oracle(WSI)
     starts = [ts.next() for _ in range(10)]
-    oracle.commit_wsi(starts[-1], {b"x"}, set())
+    oracle.submit(starts[-1], {b"x"}, set())
     for start in starts[:-1]:
-        assert oracle.commit_wsi(start, set(), set()).committed
+        assert oracle.submit(start, set(), set()).committed
 
 
 # -- bounded commit table ----------------------------------------------------------
@@ -145,15 +164,14 @@ def seeded_bounded_oracle():
 
 def test_bounded_untracked_row_aborts_pessimistically_below_watermark():
     oracle, _ = seeded_bounded_oracle()
-    decision = oracle.commit_bounded(3, {b"d"}, {b"c"})  # c untracked, t_max 4 > 3
-    assert not decision.committed
-    assert oracle.was_pessimistic(3)
+    decision = oracle.submit(3, {b"d"}, {b"c"})  # c untracked, t_max 4 > 3
+    assert (decision.committed, decision.cause) == (False, "pessimistic")
     assert oracle.pessimistic_aborts == 1
 
 
 def test_bounded_untracked_row_commits_at_or_above_watermark():
     oracle, _ = seeded_bounded_oracle()
-    decision = oracle.commit_bounded(5, {b"d"}, {b"c"})  # t_max 4 <= 5
+    decision = oracle.submit(5, {b"d"}, {b"c"})  # t_max 4 <= 5
     assert decision.committed
     # the new row displaced the smallest tracked entry and raised the watermark
     assert oracle.table.t_max == 5
@@ -162,37 +180,25 @@ def test_bounded_untracked_row_commits_at_or_above_watermark():
 
 def test_bounded_tracked_row_uses_exact_value():
     oracle, _ = seeded_bounded_oracle()
-    d1 = oracle.commit_bounded(4, {b"z"}, {b"a"})  # tracked a@5 > 4
-    assert not d1.committed
-    assert not oracle.was_pessimistic(4)
-    d2 = oracle.commit_bounded(6, {b"z"}, {b"a"})  # tracked a@5 <= 6
+    d1 = oracle.submit(4, {b"z"}, {b"a"})  # tracked a@5 > 4
+    assert (d1.committed, d1.cause) == (False, "conflict")
+    d2 = oracle.submit(6, {b"z"}, {b"a"})  # tracked a@5 <= 6
     assert d2.committed
+
+
+def test_unbounded_table_keeps_no_eviction_order():
+    table = CommitTable()
+    for ts in range(1, 50):
+        table.apply_commit(ts, ts + 100, (b"r%d" % ts, b"hot"))
+    assert table._by_commit == []
+    assert len(table.last_commit) == 50 and table.t_max == 0
 
 
 def test_bounded_read_only_fast_path_skips_watermark():
     oracle, _ = seeded_bounded_oracle()
     # start 1 is far below t_max, but an empty write set never aborts
-    decision = oracle.commit_bounded(1, set(), set())
+    decision = oracle.submit(1, set(), set())
     assert decision.committed
-
-
-def test_unbounded_commit_bounded_matches_policy_entry_points():
-    rng = random.Random(42)
-    for _ in range(25):
-        schedule = random_schedule(rng)
-        for policy in (SI, WSI):
-            via_policy, o1, _, _ = drive_schedule(schedule, policy, capacity=None)
-            timestamps = TimestampOracle()
-            o2 = StatusOracle(timestamps, policy)
-            starts = {}
-            via_bounded = {}
-            for ev in schedule:
-                if ev[0] == "begin":
-                    starts[ev[1]] = timestamps.next()
-                else:
-                    _, i, ws, rs = ev
-                    via_bounded[i] = o2.commit_bounded(starts[i], ws, rs)
-            assert via_policy == via_bounded
 
 
 # -- duplicate handling, status, aborts ---------------------------------------------
@@ -201,25 +207,25 @@ def test_unbounded_commit_bounded_matches_policy_entry_points():
 def test_duplicate_commit_request_is_rejected():
     oracle, ts = make_oracle(WSI)
     ts.next()
-    oracle.commit_wsi(1, {b"x"}, set())
+    oracle.submit(1, {b"x"}, set())
     with pytest.raises(DuplicateRequestError):
-        oracle.commit_wsi(1, {b"x"}, set())
+        oracle.submit(1, {b"x"}, set())
 
 
 def test_commit_request_after_conflict_abort_is_rejected():
     oracle, ts = make_oracle(SI)
     ts.next(), ts.next()
-    oracle.commit_si(2, {b"x"})
-    assert not oracle.commit_si(1, {b"x"}).committed
+    oracle.submit(2, {b"x"})
+    assert not oracle.submit(1, {b"x"}).committed
     with pytest.raises(DuplicateRequestError):
-        oracle.commit_si(1, set())
+        oracle.submit(1, set())
 
 
 def test_query_status_reflects_outcomes():
     oracle, ts = make_oracle(WSI)
     for _ in range(4):
         ts.next()
-    decision = oracle.commit_wsi(1, {b"x"}, {b"x"})
+    decision = oracle.submit(1, {b"x"}, {b"x"})
     status = oracle.query_status(1)
     assert status.state is TxnState.COMMITTED
     assert status.commit_ts == decision.commit_ts
@@ -234,20 +240,9 @@ def test_report_abort_is_idempotent_and_respects_commits():
     oracle.report_abort(3)
     oracle.report_abort(3)
     assert oracle.query_status(3).state is TxnState.ABORTED
-    oracle.commit_wsi(1, {b"x"}, set())
+    oracle.submit(1, {b"x"}, set())
     with pytest.raises(AlreadyCommittedError):
         oracle.report_abort(1)
-
-
-def test_policy_entry_points_are_guarded():
-    oracle, ts = make_oracle(WSI)
-    ts.next()
-    with pytest.raises(PolicyError):
-        oracle.commit_si(1, {b"x"})
-    bounded, ts2 = make_oracle(WSI, capacity=4)
-    ts2.next()
-    with pytest.raises(PolicyError):
-        bounded.commit_wsi(1, {b"x"}, set())
 
 
 def test_commit_timestamps_increase_in_decision_order():
@@ -332,8 +327,7 @@ def test_closed_loop_bounded_oracle_can_diverge_beyond_subsets():
     assert bounded.table.t_max > 0
     straddler = begin()  # starts before the victim's commit
     assert unbounded.submit(victim, {b"q"}, set()).committed
-    assert not bounded.submit(victim, {b"q"}, set()).committed  # pessimistic
-    assert bounded.was_pessimistic(victim)
+    assert bounded.submit(victim, {b"q"}, set()).cause == "pessimistic"
     ts_b.next()  # realign clocks after the divergent draw
     # unbounded rejects the straddler on q; the bounded table forgot q entirely
     assert not unbounded.submit(straddler, {b"q"}, set()).committed

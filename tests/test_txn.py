@@ -149,6 +149,7 @@ def test_abort_of_read_only_handle_touches_no_state():
 def test_conflict_abort_purges_tentative_versions():
     db = Database(WSI)
     db.seed_committed(b"x", b"v0")
+    [seed] = db.store.versions(b"x")
     loser = db.begin()
     loser.read(b"x")
     loser.write(b"x", b"stale")
@@ -160,7 +161,7 @@ def test_conflict_abort_purges_tentative_versions():
     assert loser.state is HandleState.ABORTED
     assert [v.writer_start_ts for v in db.store.versions(b"x")] == [
         winner.start_ts,
-        0,
+        seed.writer_start_ts,
     ]
 
 
@@ -253,3 +254,35 @@ def test_gc_keeps_results_identical_for_live_and_future_readers():
     assert live.read(b"hot") == before
     assert db.begin().read(b"hot") == b"v29"
     assert len(db.store.versions(b"hot")) < 30
+
+
+def test_gc_during_begin_keeps_the_new_snapshot_readable():
+    # Another thread commits a newer x and runs gc() while begin() is between
+    # drawing its start timestamp and registering it. If begin registered
+    # late, gc's watermark would pass the new start and compact away b"old".
+    db = Database(WSI)
+    db.seed_committed(b"x", b"old")
+    real_next = db.timestamps.next
+    racer_done = threading.Event()
+
+    def commit_newer_and_gc():
+        h = db.begin()
+        h.write(b"x", b"new")
+        assert h.commit().committed
+        db.gc()
+        racer_done.set()
+
+    racer = threading.Thread(target=commit_newer_and_gc)
+
+    def next_then_race():
+        ts = real_next()
+        if racer.ident is None:  # first call only: begin() of the reader
+            racer.start()
+            racer_done.wait(timeout=0.5)  # bounded: a correct begin() blocks the racer
+        return ts
+
+    db.timestamps.next = next_then_race
+    reader = db.begin()
+    racer.join(timeout=10)
+    assert not racer.is_alive() and racer_done.is_set()
+    assert reader.read(b"x") == b"old"

@@ -4,6 +4,7 @@ import pytest
 
 from wsikv.oracle import IsolationPolicy
 from wsikv.workload import (
+    BenchResult,
     WorkloadSpec,
     ZipfianKeys,
     ZipfianLatestKeys,
@@ -26,26 +27,6 @@ def test_spec_validation():
         WorkloadSpec(key_space=10, mix="weird")
     with pytest.raises(ValueError):
         WorkloadSpec(key_space=10, zipf_constant=1.0)
-
-
-def test_spec_from_config(tmp_path):
-    path = tmp_path / "spec.conf"
-    path.write_text(
-        "key_space = 5000\n"
-        "mix = mixed  # half read-only\n"
-        "distribution = zipfian-latest\n"
-        "seed = 9\n"
-        "txn_count = 123\n"
-        "client_count = 4\n"
-    )
-    spec = WorkloadSpec.from_config(path)
-    assert spec.key_space == 5000
-    assert spec.distribution == "zipfian-latest"
-    assert spec.client_count == 4
-    bad = tmp_path / "bad.conf"
-    bad.write_text("keyspace = 10\n")
-    with pytest.raises(ValueError):
-        WorkloadSpec.from_config(bad)
 
 
 def test_mixed_workload_is_half_read_only():
@@ -206,7 +187,14 @@ def test_bench_oracle_reports_decisions_and_latency():
     result = bench_oracle(WSI, clients=2, requests=2000, rows_per_txn=4, key_space=64, seed=5)
     assert result.committed + result.aborted == 2000
     assert result.decisions_per_sec > 0
-    assert result.latency.percentile(0.5) <= result.latency.percentile(0.99)
+    assert len(result.latencies) == 2000
+    assert result.percentile(0.5) <= result.percentile(0.99) <= result.latencies[-1] * 1e6
+
+
+def test_bench_percentiles_are_nearest_rank():
+    result = BenchResult(WSI, 1, 100, 100, 0, 0, 1.0, [i * 1e-6 for i in range(1, 101)])
+    assert [round(result.percentile(q)) for q in (0.0, 0.5, 0.99, 1.0)] == [1, 50, 99, 100]
+    assert BenchResult(WSI, 1, 0, 0, 0, 0, 1.0, []).percentile(0.5) == 0.0
 
 
 def test_bench_oracle_with_small_capacity_counts_pessimistic_aborts():
