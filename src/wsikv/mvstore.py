@@ -1,76 +1,66 @@
 """Embedded multi-version key-value store.
 
-Versions are keyed by the writing transaction's start timestamp and written
-tentatively, before the writer's outcome is known. Commit timestamps are
-never written back into the store: snapshot reads resolve visibility at read
-time by consulting the oracle's commit records. A reader skips a version
-whose writer is still in flight, aborted, or committed at or after the
-reader's own start timestamp, except that a transaction always sees its own
-writes.
+A transaction's writes wait as tentative versions, keyed by the writer's
+start timestamp, until the oracle decides it. On commit the oracle installs
+them inside its critical section: each version is stamped with its commit
+timestamp and appended to its row's committed list, which therefore stays
+ascending by commit timestamp. Start timestamps are drawn in that same
+critical section, so a reader never starts while a commit is half installed
+and a snapshot read is a bisection of the committed list by the reader's
+start. Aborted writes are purged and never reach a committed list. A
+transaction always sees its own writes.
 """
 
 from __future__ import annotations
 
 import bisect
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class PurgeStateError(RuntimeError):
     """purge_aborted was called for a writer that is not aborted."""
 
 
-@dataclass(frozen=True, slots=True)
-class CellVersion:
+class CellVersion(NamedTuple):
     row: bytes
     writer_start_ts: int
     value: bytes
-
-
-def _writer(v: CellVersion) -> int:
-    return v.writer_start_ts
+    commit_ts: int
 
 
 class VersionedStore:
     def __init__(self):
-        # per-row version lists, ascending by writer start timestamp
-        self._cells: dict[bytes, list[CellVersion]] = {}
+        # per row, (commit ts, writer start ts, value) in commit order; a list is only
+        # appended to or cut in place, never replaced, so tentative writes keep a reference
+        self._committed: dict[bytes, list[tuple[int, int, bytes]]] = {}
+        # writer start ts -> row -> (the row's committed list, tentative value)
+        self._tentative: dict[int, dict[bytes, tuple[list, bytes]]] = {}
         self._lock = threading.Lock()
 
     def put_tentative(self, row: bytes, writer_start_ts: int, value: bytes) -> None:
-        """Upsert (row, writer); a rewrite by the same transaction wins."""
+        """Write (row, writer) tentatively; a rewrite by the same transaction wins."""
         with self._lock:
-            versions = self._cells.setdefault(row, [])
-            i = bisect.bisect_left(versions, writer_start_ts, key=_writer)
-            if i < len(versions) and versions[i].writer_start_ts == writer_start_ts:
-                versions[i] = CellVersion(row, writer_start_ts, value)
-            else:
-                versions.insert(i, CellVersion(row, writer_start_ts, value))
+            versions = self._committed.setdefault(row, [])
+            self._tentative.setdefault(writer_start_ts, {})[row] = (versions, value)
 
-    def snapshot_read(self, row: bytes, reader_start_ts: int, status) -> bytes | None:
-        """Value committed latest before the reader's start, or the reader's own write.
-
-        `status` supplies commit_ts_of(writer_start_ts); writers without a
-        commit timestamp (in flight or aborted) are skipped. Never blocks.
-        """
+    def install(self, writer_start_ts: int, commit_ts: int) -> None:
+        """Commit the writer's versions at commit_ts; the oracle calls this in commit order."""
         with self._lock:
-            versions = self._cells.get(row)
+            for row, (versions, value) in self._tentative.pop(writer_start_ts, {}).items():
+                versions.append((commit_ts, writer_start_ts, value))
+
+    def snapshot_read(self, row: bytes, reader_start_ts: int) -> bytes | None:
+        """The reader's own write, else the value committed latest before its start."""
+        with self._lock:
+            mine = self._tentative.get(reader_start_ts)
+            if mine is not None and row in mine:
+                return mine[row][1]
+            versions = self._committed.get(row)
             if not versions:
                 return None
-            i = bisect.bisect_left(versions, reader_start_ts, key=_writer)
-            if i < len(versions) and versions[i].writer_start_ts == reader_start_ts:
-                return versions[i].value  # the reader's own tentative write
-            best_tc = -1
-            best = None
-            # Writers that started at or after the reader commit after it too,
-            # so only the prefix below the reader's start can be visible.
-            for k in range(i):
-                v = versions[k]
-                tc = status.commit_ts_of(v.writer_start_ts)
-                if tc is not None and tc < reader_start_ts and tc > best_tc:
-                    best_tc = tc
-                    best = v.value
-            return best
+            i = bisect.bisect_left(versions, (reader_start_ts,))  # first at or after it
+            return versions[i - 1][2] if i else None
 
     def purge_aborted(self, row: bytes, writer_start_ts: int, status) -> None:
         """Drop the tentative version of an aborted writer; no-op if absent."""
@@ -79,53 +69,31 @@ class VersionedStore:
                 f"writer {writer_start_ts} is not aborted; refusing to purge"
             )
         with self._lock:
-            versions = self._cells.get(row)
-            if not versions:
-                return
-            i = bisect.bisect_left(versions, writer_start_ts, key=_writer)
-            if i < len(versions) and versions[i].writer_start_ts == writer_start_ts:
-                del versions[i]
-                if not versions:
-                    del self._cells[row]
+            writes = self._tentative.get(writer_start_ts, {})
+            writes.pop(row, None)
+            if not writes:
+                self._tentative.pop(writer_start_ts, None)
 
-    def compact(self, low_watermark: int, status) -> None:
-        """Maintenance GC: drop committed versions strictly dominated for every
-        reader at or above the watermark, and aborted leftovers.
-
-        For each row, of the versions committed strictly below the watermark
-        only the newest survives; in-flight versions are never touched.
-        """
+    def compact(self, low_watermark: int) -> None:
+        """Maintenance GC: of each row's versions committed strictly below the
+        watermark only the newest survives, since no reader at or above the
+        watermark can see the others."""
         with self._lock:
-            for row in list(self._cells):
-                versions = self._cells[row]
-                if len(versions) < 2:
-                    continue
-                keep = []
-                newest_old = None
-                for v in versions:
-                    tc = status.commit_ts_of(v.writer_start_ts)
-                    if tc is None:
-                        if not status.is_aborted(v.writer_start_ts):
-                            keep.append(v)
-                    elif tc >= low_watermark:
-                        keep.append(v)
-                    elif newest_old is None or tc > newest_old[0]:
-                        newest_old = (tc, v)
-                if newest_old is not None:
-                    keep.append(newest_old[1])
-                keep.sort(key=_writer)
-                if keep:
-                    self._cells[row] = keep
-                else:
-                    del self._cells[row]
+            for versions in self._committed.values():
+                if len(versions) > 1:
+                    i = bisect.bisect_left(versions, (low_watermark,))
+                    if i > 1:
+                        del versions[: i - 1]
 
     # -- introspection --------------------------------------------------------
 
     def versions(self, row: bytes) -> list[CellVersion]:
-        """Versions of a row, newest writer first."""
+        """Committed versions of a row, newest commit first."""
         with self._lock:
-            return list(reversed(self._cells.get(row, [])))
+            committed = self._committed.get(row, ())
+            return [CellVersion(row, w, value, tc) for tc, w, value in reversed(committed)]
 
     def rows(self) -> list[bytes]:
+        """Rows holding at least one committed version."""
         with self._lock:
-            return sorted(self._cells)
+            return sorted(row for row, versions in self._committed.items() if versions)

@@ -10,12 +10,16 @@ request touching an untracked row pessimistically aborts when its start
 timestamp is below the watermark. An abort decision names its cause:
 "conflict" or "pessimistic" from the oracle, "client" for an abort the
 client asked for.
+
+Start timestamps are drawn in the critical section that decides a commit and
+installs its versions in the store, so no transaction starts while a commit
+is half installed and the store decides visibility without the oracle.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
+import itertools
 import logging
 import threading
 from dataclasses import dataclass
@@ -80,6 +84,8 @@ class CommitTable:
     When capacity is bounded, inserting beyond it evicts the entries with the
     smallest commit timestamps and folds them into t_max, so t_max is exactly
     the boundary below which per-row information has been discarded.
+    Commits arrive in ascending commit ts with sorted rows, so moving each
+    committed row to the end keeps last_commit in eviction order.
     """
 
     def __init__(self, capacity: int | None = None):
@@ -90,40 +96,39 @@ class CommitTable:
         self.t_max = 0
         self.commit_records: dict[int, int] = {}
         self.aborted: set[int] = set()
-        self._by_commit: list[tuple[int, RowId]] = []  # eviction order, if bounded
 
     def decided(self, start_ts: int) -> bool:
         return start_ts in self.commit_records or start_ts in self.aborted
 
     def apply_commit(self, start_ts: int, commit_ts: int, rows) -> None:
         self.commit_records[start_ts] = commit_ts
-        for row in rows:
-            self.last_commit[row] = commit_ts
-        if self.capacity is not None:  # an unbounded table never evicts
+        last = self.last_commit
+        if self.capacity is None:  # an unbounded table never evicts
             for row in rows:
-                heapq.heappush(self._by_commit, (commit_ts, row))
-            self._evict()
+                last[row] = commit_ts
+            return
+        for row in rows:
+            last.pop(row, None)
+            last[row] = commit_ts
+        excess = len(last) - self.capacity
+        if excess > 0:
+            victims = list(itertools.islice(last.items(), excess))
+            for row, _ in victims:
+                del last[row]
+            self.t_max = max(self.t_max, victims[-1][1])
 
     def record_abort(self, start_ts: int) -> None:
         self.aborted.add(start_ts)
-
-    def _evict(self) -> None:
-        while len(self.last_commit) > self.capacity:
-            ts, row = heapq.heappop(self._by_commit)
-            if self.last_commit.get(row) != ts:
-                continue  # superseded by a newer commit of the same row
-            del self.last_commit[row]
-            if ts > self.t_max:
-                self.t_max = ts
 
 
 class StatusOracle:
     """Decides commit requests inside one critical section per request.
 
-    The conflict check, commit-timestamp draw, and last-committer update form
-    one atomic step. Decisions are appended to the write-ahead log inside the
-    critical section and the caller only observes a decision after its record
-    is durable.
+    The conflict check, commit-timestamp draw, last-committer update and
+    installation of the committed versions in `store` form one atomic step,
+    and start() draws start timestamps inside the same lock. Decisions are
+    appended to the write-ahead log inside the critical section and the
+    caller only observes a decision after its record is durable.
     """
 
     def __init__(
@@ -134,8 +139,10 @@ class StatusOracle:
         capacity: int | None = None,
         wal=None,
         table: CommitTable | None = None,
+        store=None,
     ):
         self.timestamps = timestamps
+        self.store = store
         self.policy = policy
         self.wal = wal
         self.table = table if table is not None else CommitTable(capacity=capacity)
@@ -144,6 +151,11 @@ class StatusOracle:
         self.read_only_commits = 0
         self.conflict_aborts = 0
         self.pessimistic_aborts = 0
+
+    def start(self) -> int:
+        """Draw a start timestamp; no commit is half installed at that moment."""
+        with self._lock:
+            return self.timestamps.next()
 
     def submit(self, start_ts: int, write_set, read_set=()) -> CommitDecision:
         """Decide a commit request; the read set is checked only under WSI."""
@@ -184,7 +196,7 @@ class StatusOracle:
                     self.pessimistic_aborts += 1
                 else:
                     self.conflict_aborts += 1
-                ack = self._append(WalRecord(KIND_ABORT, start_ts))
+                ack = self._append(KIND_ABORT, start_ts)
                 decision = CommitDecision(False, cause=cause)
         if ack is not None:
             ack.wait()  # write-ahead discipline: durable before observable
@@ -202,7 +214,7 @@ class StatusOracle:
             return TxnStatus(TxnState.IN_FLIGHT)
 
     def commit_ts_of(self, start_ts: int) -> int | None:
-        # lock-free read path for snapshot reads; outcomes are write-once
+        # outcomes are write-once, so this read takes no lock
         return self.table.commit_records.get(start_ts)
 
     def is_aborted(self, start_ts: int) -> bool:
@@ -218,7 +230,7 @@ class StatusOracle:
                 )
             if start_ts not in self.table.aborted:
                 self.table.record_abort(start_ts)
-                ack = self._append(WalRecord(KIND_ABORT, start_ts))
+                ack = self._append(KIND_ABORT, start_ts)
         if ack is not None:
             ack.wait()
 
@@ -228,11 +240,14 @@ class StatusOracle:
         tc = self.timestamps.next()
         rows = tuple(sorted(write_set))
         self.table.apply_commit(start_ts, tc, rows)
+        if self.store is not None:
+            self.store.install(start_ts, tc)
         self.committed_count += 1
         if not write_set:
             self.read_only_commits += 1
-        ack = self._append(WalRecord(KIND_COMMIT, start_ts, tc, rows))
+        ack = self._append(KIND_COMMIT, start_ts, tc, rows)
         return CommitDecision(True, tc), ack
 
-    def _append(self, rec: WalRecord):
-        return self.wal.append(rec) if self.wal is not None else None
+    def _append(self, *record):
+        # no WalRecord is built when no log is attached
+        return self.wal.append(WalRecord(*record)) if self.wal is not None else None

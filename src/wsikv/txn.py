@@ -4,7 +4,9 @@ A transaction reads from the snapshot fixed by its start timestamp, buffers
 writes as tentative versions, and tracks the row identifiers it actually read
 and wrote. Commit submits those sets to the status oracle: the write set only
 under snapshot isolation, both sets under write-snapshot isolation, and an
-empty pair when a write-snapshot transaction is read-only.
+empty pair when a write-snapshot transaction is read-only. The oracle draws
+start timestamps and installs committed versions in the store, so reads never
+consult it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class Transaction:
 
     def read(self, row: bytes) -> bytes | None:
         self._check_active()
-        value = self._db.store.snapshot_read(row, self.start_ts, self._db.oracle)
+        value = self._db.store.snapshot_read(row, self.start_ts)
         # an absent row is still a dependency the transaction acted on
         self.read_set.add(row)
         return value
@@ -84,10 +86,10 @@ class Database:
         self.timestamps = TimestampOracle(
             wal=wal, block_size=block_size, start_after=start_after
         )
-        self.oracle = StatusOracle(
-            self.timestamps, policy, capacity=capacity, wal=wal, table=table
-        )
         self.store = VersionedStore()
+        self.oracle = StatusOracle(
+            self.timestamps, policy, capacity=capacity, wal=wal, table=table, store=self.store
+        )
         self._active: set[int] = set()
         self._active_lock = threading.Lock()
 
@@ -119,9 +121,9 @@ class Database:
     def begin(self) -> Transaction:
         # Drawn and registered in one step: a gc() between the two would set
         # its watermark above this start and compact a version it must read.
-        # Lock order: _active_lock, then the timestamp lock, as in gc().
+        # Lock order: _active_lock, the oracle lock, the timestamp lock.
         with self._active_lock:
-            ts = self.timestamps.next()
+            ts = self.oracle.start()
             self._active.add(ts)
         return Transaction(self, ts)
 
@@ -137,7 +139,7 @@ class Database:
         """Compact committed versions invisible to every current and future reader."""
         with self._active_lock:
             low = min(self._active) if self._active else self.timestamps.last_issued() + 1
-        self.store.compact(low, self.oracle)
+        self.store.compact(low)
 
     def close(self) -> None:
         if self.wal is not None:

@@ -17,6 +17,7 @@ therefore the sharpest and the most contended.
 from __future__ import annotations
 
 import math
+import os
 import random
 import struct
 import threading
@@ -247,10 +248,14 @@ def run(
 ) -> RunMetrics:
     """Execute txn_count scripts across client_count concurrent clients.
 
-    Aborts are terminal for their script; nothing is retried.
+    Aborts are terminal for their script; nothing is retried. An existing
+    log is recovered first, so its timestamps are not decided again.
     """
-    wal = WriteAheadLog(wal_path) if wal_path else None
-    db = Database(policy, capacity=capacity, wal=wal)
+    if wal_path and os.path.exists(wal_path) and os.path.getsize(wal_path) > 0:
+        db = Database.recover(wal_path, policy, capacity=capacity)
+    else:
+        wal = WriteAheadLog(wal_path) if wal_path else None
+        db = Database(policy, capacity=capacity, wal=wal)
 
     def worker(idx: int, share: int, ready) -> RunMetrics:
         rng = random.Random(spec.seed * 1_000_003 + idx)
@@ -267,6 +272,9 @@ def run(
                     h.read(row)
                 else:
                     h.write(row, value)
+                # interleave clients per operation, as separate processes would;
+                # else one thread runs ~100 transactions per 5 ms interpreter slice
+                time.sleep(0)
             if h.commit().committed:
                 m.committed += 1
                 m.read_only_committed += read_only
@@ -284,8 +292,7 @@ def run(
         metrics.aborted += m.aborted
         metrics.read_only_committed += m.read_only_committed
         metrics.read_only_aborted += m.read_only_aborted
-    if wal is not None:
-        wal.close()
+    db.close()
     return metrics
 
 
@@ -330,6 +337,8 @@ def bench_oracle(
     seed: int = 0,
 ) -> BenchResult:
     """Drive the status oracle directly with synthetic commit requests."""
+    if clients < 1:
+        raise ValueError("clients must be >= 1")
     timestamps = TimestampOracle()
     oracle = StatusOracle(timestamps, policy, capacity=capacity)
 

@@ -105,8 +105,9 @@ def drive_schedule(schedule, policy: IsolationPolicy, capacity: int | None = Non
 class TableTwin:
     """Independent model of the bounded last-committer table.
 
-    Eviction is a plain min-scan over (commit ts, row) rather than a heap, so
-    it shares no code with the implementation under test.
+    Eviction is a plain min-scan over (commit ts, row) rather than the
+    table's ordered front, so it shares no code with the implementation
+    under test.
     """
 
     def __init__(self, capacity: int | None):

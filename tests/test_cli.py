@@ -119,6 +119,14 @@ def test_bench_oracle_zero_requests(capsys):
     assert out == [BENCH_CSV_HEADER]
 
 
+def test_bench_oracle_rejects_zero_clients(capsys):
+    code = main(["bench-oracle", "--policy", "wsi", "--clients", "0", "--requests", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "clients" in captured.err
+    assert captured.out.strip().splitlines() == [BENCH_CSV_HEADER]  # no data row
+
+
 def test_bench_oracle_emits_row(capsys):
     code = main(
         [

@@ -186,12 +186,16 @@ def test_bounded_tracked_row_uses_exact_value():
     assert d2.committed
 
 
-def test_unbounded_table_keeps_no_eviction_order():
-    table = CommitTable()
-    for ts in range(1, 50):
-        table.apply_commit(ts, ts + 100, (b"r%d" % ts, b"hot"))
-    assert table._by_commit == []
-    assert len(table.last_commit) == 50 and table.t_max == 0
+def test_bounded_table_evicts_bulk_and_repeated_rows_like_the_model():
+    # commits larger than the capacity, and rows committed again, both move
+    # the eviction front; the twin rescans for the minimum each time
+    rng = random.Random(3)
+    table, twin = CommitTable(capacity=16), TableTwin(16)
+    for tc in range(1, 200):
+        rows = sorted({b"r%d" % rng.randrange(40) for _ in range(rng.choice((1, 3, 25)))})
+        table.apply_commit(1000 + tc, tc, rows)
+        twin.apply_commit(1000 + tc, tc, rows)
+        assert (table.last_commit, table.t_max) == (twin.last_commit, twin.t_max)
 
 
 def test_bounded_read_only_fast_path_skips_watermark():

@@ -1,9 +1,13 @@
-"""Smoke tests: the experiment scripts run end to end on tiny inputs."""
+"""Smoke tests: the experiment scripts and the benchmark run end to end."""
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from wsikv.workload import BENCH_CSV_HEADER, CSV_HEADER
 
@@ -39,3 +43,26 @@ def test_oracle_saturation_emits_one_row_per_client_count_and_policy():
     assert [row.split(",")[:2] for row in out[1:]] == [
         ["si", "1"], ["wsi", "1"], ["si", "2"], ["wsi", "2"],
     ]
+
+
+@pytest.mark.slow
+def test_benchmark_runs_traced_and_reports_every_declared_metric(tmp_path):
+    # The traced benchmark wraps store and oracle methods by name, so a
+    # renamed or removed method shows up here rather than in a benchmark run.
+    for part in ("perfbench", "src"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
+    results = [json.loads(line) for line in done.stdout.splitlines() if line.startswith("{")]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert len(results) == len(declared["workloads"])
+    for result in results:
+        assert result["correct"] is True
+        missing = {m["name"] for m in declared["per_layer"]} - set(result["metrics"])
+        assert not missing

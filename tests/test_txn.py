@@ -1,4 +1,7 @@
+import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -286,3 +289,98 @@ def test_gc_during_begin_keeps_the_new_snapshot_readable():
     racer.join(timeout=10)
     assert not racer.is_alive() and racer_done.is_set()
     assert reader.read(b"x") == b"old"
+
+
+def test_reader_starting_during_a_commit_sees_all_of_it_or_none():
+    # A reader begins while the writer is between drawing its commit timestamp
+    # and installing its versions, reads x, and reads y once the commit has
+    # returned. A begin() that could start inside that gap would read x as
+    # old and y as new: a fractured snapshot.
+    db = Database(WSI)
+    db.seed_committed(b"x", b"x0")
+    db.seed_committed(b"y", b"y0")
+    real_next = db.timestamps.next
+    x_read, writer_done = threading.Event(), threading.Event()
+    seen = []
+
+    def read_both():
+        h = db.begin()
+        seen.append(h.read(b"x"))
+        x_read.set()
+        writer_done.wait(timeout=5)
+        seen.append(h.read(b"y"))
+        seen.append(h.commit().committed)
+
+    reader = threading.Thread(target=read_both)
+    writer = db.begin()
+    writer.write(b"x", b"x1")
+    writer.write(b"y", b"y1")
+
+    def next_then_race():
+        ts = real_next()
+        if reader.ident is None:  # first call only: the writer's commit timestamp
+            reader.start()
+            x_read.wait(timeout=0.5)  # bounded: a correct begin() blocks the reader
+        return ts
+
+    db.timestamps.next = next_then_race
+    assert writer.commit().committed
+    writer_done.set()
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert seen in ([b"x0", b"y0", True], [b"x1", b"y1", True])
+
+
+def test_concurrent_transfers_keep_every_snapshot_balanced():
+    # More client threads than cores and a short switch interval, so that
+    # begins, commits and gc() interleave finely. Every transfer reads and
+    # writes both of its accounts, so SI keeps the total; an audit that saw
+    # part of a commit would read a different total.
+    db = Database(SI)
+    accounts = [b"acct%d" % i for i in range(8)]
+    for acct in accounts:
+        db.seed_committed(acct, b"100")
+    deadline = time.monotonic() + 1.0
+    totals, committed = [], []
+
+    def transfer(seed):
+        rng = random.Random(seed)
+        while time.monotonic() < deadline:
+            h = db.begin()
+            src, dst = rng.sample(accounts, 2)
+            a, b = int(h.read(src)), int(h.read(dst))
+            h.write(src, b"%d" % (a - 1))
+            h.write(dst, b"%d" % (b + 1))
+            committed.append(h.commit().committed)
+
+    def audit(collect_garbage):
+        while time.monotonic() < deadline:
+            h = db.begin()
+            totals.append(sum(int(h.read(acct)) for acct in accounts))
+            h.commit()
+            if collect_garbage:
+                db.gc()
+
+    errors = []
+
+    def guarded(body, arg):
+        try:
+            body(arg)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    workers = [threading.Thread(target=guarded, args=(transfer, i)) for i in range(4)]
+    workers += [threading.Thread(target=guarded, args=(audit, i == 0)) for i in range(2)]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in workers)
+    assert errors == []
+    assert any(committed) and totals
+    assert set(totals) == {800}

@@ -1,8 +1,13 @@
 import random
+import time
+from collections import Counter
 
 import pytest
 
+import wsikv.workload
 from wsikv.oracle import IsolationPolicy
+from wsikv.timestamps import TimestampOracle
+from wsikv.wal import KIND_ABORT, KIND_COMMIT, read_records, recover
 from wsikv.workload import (
     BenchResult,
     WorkloadSpec,
@@ -177,10 +182,27 @@ def test_run_with_wal_and_bounded_capacity(tmp_path):
     spec = WorkloadSpec(key_space=50, mix="complex", seed=17, txn_count=300)
     metrics = run(spec, WSI, wal_path=tmp_path / "run.wal", capacity=8)
     assert metrics.committed + metrics.aborted == 300
-    from wsikv.wal import recover
-
     table, _ = recover(tmp_path / "run.wal", capacity=8)
     assert len(table.commit_records) == metrics.committed
+
+
+def test_second_run_on_a_log_continues_above_its_timestamps(tmp_path):
+    path = tmp_path / "run.wal"
+    spec = WorkloadSpec(key_space=50, mix="complex", seed=17, txn_count=300)
+    first = run(spec, WSI, wal_path=path)
+    second = run(spec, WSI, wal_path=path)
+    decided = Counter(
+        rec.start_ts for rec in read_records(path) if rec.kind in (KIND_COMMIT, KIND_ABORT)
+    )
+    assert sum(decided.values()) == 600
+    assert max(decided.values()) == 1  # no start timestamp decided twice
+    table, _ = recover(path)
+    assert len(table.commit_records) == first.committed + second.committed
+
+
+def test_bench_oracle_rejects_fewer_than_one_client():
+    with pytest.raises(ValueError, match="clients"):
+        bench_oracle(WSI, clients=0, requests=10, rows_per_txn=4)
 
 
 def test_bench_oracle_reports_decisions_and_latency():
@@ -197,7 +219,19 @@ def test_bench_percentiles_are_nearest_rank():
     assert BenchResult(WSI, 1, 0, 0, 0, 0, 1.0, []).percentile(0.5) == 0.0
 
 
-def test_bench_oracle_with_small_capacity_counts_pessimistic_aborts():
+class _YieldingTimestamps(TimestampOracle):
+    """Yields the interpreter after each draw, widening the gap between a
+    client's start-timestamp draw and its submit, where other clients'
+    commits raise t_max past that start."""
+
+    def next(self) -> int:
+        ts = super().next()
+        time.sleep(0)
+        return ts
+
+
+def test_bench_oracle_with_small_capacity_counts_pessimistic_aborts(monkeypatch):
+    monkeypatch.setattr(wsikv.workload, "TimestampOracle", _YieldingTimestamps)
     result = bench_oracle(
         WSI, clients=8, requests=4000, rows_per_txn=4, key_space=8, capacity=4, seed=6
     )
