@@ -126,9 +126,10 @@ class StatusOracle:
 
     The conflict check, commit-timestamp draw, last-committer update and
     installation of the committed versions in `store` form one atomic step,
-    and start() draws start timestamps inside the same lock. Decisions are
-    appended to the write-ahead log inside the critical section and the
-    caller only observes a decision after its record is durable.
+    and start() draws start timestamps inside the same lock. A decision is
+    appended to the write-ahead log before it changes any state, so a record
+    that cannot be logged leaves the oracle as it was; appending only buffers,
+    and the caller waits for durability after the lock is released.
     """
 
     def __init__(
@@ -153,8 +154,12 @@ class StatusOracle:
         self.pessimistic_aborts = 0
 
     def start(self) -> int:
-        """Draw a start timestamp; no commit is half installed at that moment."""
+        """Draw a start timestamp; no commit is half installed at that moment.
+        Once the log has failed, raise its error: no reader may see a commit
+        whose record may not be durable."""
         with self._lock:
+            if self.wal is not None and self.wal.error is not None:
+                raise self.wal.error
             return self.timestamps.next()
 
     def submit(self, start_ts: int, write_set, read_set=()) -> CommitDecision:
@@ -191,12 +196,12 @@ class StatusOracle:
             if cause is None:
                 decision, ack = self._commit_locked(start_ts, write_set)
             else:
+                ack = self._append(KIND_ABORT, start_ts)
                 table.record_abort(start_ts)
                 if cause == "pessimistic":
                     self.pessimistic_aborts += 1
                 else:
                     self.conflict_aborts += 1
-                ack = self._append(KIND_ABORT, start_ts)
                 decision = CommitDecision(False, cause=cause)
         if ack is not None:
             ack.wait()  # write-ahead discipline: durable before observable
@@ -229,8 +234,8 @@ class StatusOracle:
                     f"transaction {start_ts} already committed"
                 )
             if start_ts not in self.table.aborted:
-                self.table.record_abort(start_ts)
                 ack = self._append(KIND_ABORT, start_ts)
+                self.table.record_abort(start_ts)
         if ack is not None:
             ack.wait()
 
@@ -239,13 +244,13 @@ class StatusOracle:
     def _commit_locked(self, start_ts: int, write_set: frozenset):
         tc = self.timestamps.next()
         rows = tuple(sorted(write_set))
+        ack = self._append(KIND_COMMIT, start_ts, tc, rows)
         self.table.apply_commit(start_ts, tc, rows)
         if self.store is not None:
             self.store.install(start_ts, tc)
         self.committed_count += 1
         if not write_set:
             self.read_only_commits += 1
-        ack = self._append(KIND_COMMIT, start_ts, tc, rows)
         return CommitDecision(True, tc), ack
 
     def _append(self, *record):

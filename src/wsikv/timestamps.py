@@ -40,22 +40,22 @@ class TimestampOracle:
         self._reserved_up_to = start_after
 
     def next(self) -> int:
-        """Issue the next timestamp, reserving a fresh block if needed."""
+        """Issue the next timestamp, persisting a fresh block's reservation if needed."""
         with self._lock:
             if self._next > self._reserved_up_to:
-                self._reserve_locked(self._block_size)
+                high = self._reserved_up_to + self._block_size
+                if self._wal is not None:
+                    rec = WalRecord(kind=KIND_TS_RESERVE, reserved_up_to=high)
+                    try:
+                        self._wal.append(rec).wait()
+                    except Exception as exc:
+                        raise ReservationError(
+                            f"could not persist reservation up to {high}"
+                        ) from exc
+                self._reserved_up_to = high
             ts = self._next
             self._next += 1
             return ts
-
-    def reserve_block(self, count: int) -> int:
-        """Persist a reservation of `count` timestamps; returns its first value."""
-        if count < 1:
-            raise ValueError("count must be positive")
-        with self._lock:
-            first = self._reserved_up_to + 1
-            self._reserve_locked(count)
-            return first
 
     def last_issued(self) -> int:
         with self._lock:
@@ -65,15 +65,3 @@ class TimestampOracle:
     def reserved_up_to(self) -> int:
         with self._lock:
             return self._reserved_up_to
-
-    def _reserve_locked(self, count: int) -> None:
-        new_high = self._reserved_up_to + count
-        if self._wal is not None:
-            rec = WalRecord(kind=KIND_TS_RESERVE, reserved_up_to=new_high)
-            try:
-                self._wal.append(rec).wait()
-            except Exception as exc:
-                raise ReservationError(
-                    f"could not persist reservation up to {new_high}"
-                ) from exc
-        self._reserved_up_to = new_high

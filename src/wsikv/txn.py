@@ -101,14 +101,15 @@ class Database:
         *,
         capacity: int | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        batch: "_wal.BatchPolicy | None" = None,
     ) -> "Database":
         """Rebuild oracle state from a write-ahead log and resume appending to it.
 
-        The store itself is not persisted; only oracle state survives a crash.
+        The log is read and decoded once, by opening it. The store itself is
+        not persisted; only oracle state survives a crash.
         """
-        table, highest = _wal.recover(path, capacity=capacity)
-        log = _wal.WriteAheadLog(path, policy=batch)
+        log = _wal.WriteAheadLog(path)
+        table, highest = _wal.replay(log.recovered, capacity=capacity)
+        log.recovered.clear()  # replayed into the table; not kept twice
         return cls(
             policy,
             capacity=capacity,

@@ -1,4 +1,4 @@
-"""Durable write-ahead log with size/time batched group commit and replay recovery.
+"""Durable write-ahead log with leader/follower group commit and replay recovery.
 
 On-disk layout: an 8-byte magic header, then framed records:
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import struct
 import threading
-import time
 import zlib
 from dataclasses import dataclass
 
@@ -107,33 +106,27 @@ def decode_payload(payload: bytes) -> WalRecord:
 
 @dataclass(frozen=True)
 class BatchPolicy:
-    """Flush triggers: buffered bytes, or age of the oldest buffered record."""
+    """Former flush triggers, kept only so the benchmark harness still imports
+    and constructs it; the log ignores it (waiters flush, see WriteAheadLog)."""
 
     max_bytes: int = 1024
     max_delay: float = 0.005  # seconds
 
 
 class DurableAck:
-    """Completion handle for one appended record; set only after fsync."""
+    """Handle for one appended record; wait() returns once the record is durable."""
 
-    __slots__ = ("_event", "_error")
+    __slots__ = ("_log", "_seq")
 
-    def __init__(self):
-        self._event = threading.Event()
-        self._error: Exception | None = None
+    def __init__(self, log: "WriteAheadLog", seq: int):
+        self._log = log
+        self._seq = seq
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._log._durable >= self._seq
 
-    def wait(self, timeout: float | None = None) -> None:
-        if not self._event.wait(timeout):
-            raise TimeoutError("wal flush did not complete in time")
-        if self._error is not None:
-            raise self._error
-
-    def _complete(self, error: Exception | None = None) -> None:
-        self._error = error
-        self._event.set()
+    def wait(self) -> None:
+        self._log._wait(self._seq)
 
 
 def _scan(data: bytes, path: str) -> tuple[list[WalRecord], int]:
@@ -176,7 +169,15 @@ def read_records(path: str | os.PathLike) -> list[WalRecord]:
 
 
 def recover(path: str | os.PathLike, capacity: int | None = None):
-    """Rebuild oracle state by replaying the log.
+    """Rebuild oracle state from the log at `path` without modifying it.
+
+    Returns (CommitTable, highest persisted timestamp reservation).
+    """
+    return replay(read_records(path), capacity)
+
+
+def replay(records, capacity: int | None = None):
+    """Rebuild oracle state from records in append order.
 
     Returns (CommitTable, highest persisted timestamp reservation). The table
     is built with the given capacity so eviction and the watermark replay the
@@ -186,7 +187,7 @@ def recover(path: str | os.PathLike, capacity: int | None = None):
 
     table = CommitTable(capacity=capacity)
     highest = 0
-    for rec in read_records(path):
+    for rec in records:
         if rec.kind == KIND_COMMIT:
             table.apply_commit(rec.start_ts, rec.commit_ts, rec.rows)
         elif rec.kind == KIND_ABORT:
@@ -197,30 +198,37 @@ def recover(path: str | os.PathLike, capacity: int | None = None):
 
 
 class WriteAheadLog:
-    """Append-only log file with group commit.
+    """Append-only log file with leader/follower group commit.
 
-    append() buffers the record and returns an ack that completes once the
-    batch holding it is durably flushed (fsync). A batch flushes as soon as
-    the buffer reaches max_bytes, or when its oldest record has been buffered
-    for max_delay, whichever comes first. Acks complete in append order.
+    append() only buffers the record and returns its ack. The first waiter
+    whose record is not yet durable becomes the leader: it takes the whole
+    buffer, writes and fsyncs it with the lock released, then wakes every
+    waiter. Waiters arriving during that fsync wait for it, and records
+    appended meanwhile form the next batch. Records become durable in append
+    order. A failed write or fsync stops the log: the waiters of that batch,
+    and every later append or wait, raise the stored `error`, and nothing more
+    is written.
 
-    Opening an existing log validates it and truncates a torn tail so new
-    appends start at a clean boundary.
+    Opening an existing log reads it once: its intact records are kept in
+    `recovered` for replay, and a torn tail is truncated so new appends start
+    at a clean boundary. `policy` is accepted and ignored (see BatchPolicy).
     """
 
     def __init__(self, path: str | os.PathLike, policy: BatchPolicy | None = None):
         self.path = str(path)
-        self.policy = policy or BatchPolicy()
         self.flush_count = 0
-        self._cond = threading.Condition()
+        self.error: WalError | None = None
+        self.recovered: list[WalRecord] = []
+        self._cond = threading.Condition(threading.Lock())  # not reentrant: _lead releases it
         self._buf = bytearray()
-        self._pending: list[DurableAck] = []
-        self._oldest: float | None = None
+        self._appended = 0  # sequence number of the last appended record
+        self._durable = 0  # sequence number of the last durable record
+        self._flushing = False
         self._closed = False
         if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
             with open(self.path, "rb") as f:
                 data = f.read()
-            _, end = _scan(data, self.path)
+            self.recovered, end = _scan(data, self.path)
             self._file = open(self.path, "r+b")
             self._file.truncate(end)
             self._file.seek(end)
@@ -229,80 +237,61 @@ class WriteAheadLog:
             self._file.write(MAGIC)
             self._file.flush()
             os.fsync(self._file.fileno())
-        self._flusher = threading.Thread(
-            target=self._flush_loop, name="wal-flusher", daemon=True
-        )
-        self._flusher.start()
 
     def append(self, rec: WalRecord) -> DurableAck:
         frame = rec.encode()
-        ack = DurableAck()
         with self._cond:
+            if self.error is not None:
+                raise self.error
             if self._closed:
                 raise WalClosedError("append to closed log")
             self._buf += frame
-            self._pending.append(ack)
-            if self._oldest is None:
-                self._oldest = time.monotonic()
-            if len(self._buf) >= self.policy.max_bytes:
-                self._flush_locked()
-            else:
-                self._cond.notify_all()
-        return ack
-
-    def sync(self) -> None:
-        """Flush any buffered records immediately."""
-        with self._cond:
-            self._flush_locked()
+            self._appended += 1
+            return DurableAck(self, self._appended)
 
     def close(self) -> None:
+        """Flush what is still buffered and close the file; idempotent."""
         with self._cond:
             if self._closed:
                 return
-            self._flush_locked()
             self._closed = True
-            self._cond.notify_all()
-        self._flusher.join()
-        self._file.close()
+            last = self._appended
+        try:
+            self._wait(last)
+        finally:
+            self._file.close()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def _flush_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._closed and not self._buf:
+    def _wait(self, seq: int) -> None:
+        with self._cond:
+            while self._durable < seq:
+                if self.error is not None:
+                    raise self.error
+                if self._flushing:
                     self._cond.wait()
-                if self._closed and not self._buf:
-                    return
-                deadline = (self._oldest or 0.0) + self.policy.max_delay
-                now = time.monotonic()
-                if (
-                    now < deadline
-                    and len(self._buf) < self.policy.max_bytes
-                    and not self._closed
-                ):
-                    self._cond.wait(deadline - now)
-                    continue
-                self._flush_locked()
+                else:
+                    self._lead()
 
-    def _flush_locked(self) -> None:
-        if not self._buf:
-            return
-        data = bytes(self._buf)
-        acks = self._pending
-        self._buf = bytearray()
-        self._pending = []
-        self._oldest = None
-        error: Exception | None = None
+    def _lead(self) -> None:
+        """Flush the whole buffer as one batch. Called holding the lock, which
+        is released across the write and fsync so that appends go on."""
+        data, self._buf = self._buf, bytearray()
+        last = self._appended
+        self._flushing = True
+        error = WalError("wal flush interrupted")
+        self._cond.release()
         try:
             self._file.write(data)
             self._file.flush()
             os.fsync(self._file.fileno())
+            error = None
         except OSError as exc:
             error = WalError(f"wal flush failed: {exc}")
-        else:
-            self.flush_count += 1
-        for ack in acks:
-            ack._complete(error)
+        finally:
+            self._cond.acquire()
+            self._flushing = False
+            if error is None:
+                self._durable = last
+                self.flush_count += 1
+            else:
+                self.error = error
+            self._cond.notify_all()

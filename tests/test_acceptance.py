@@ -8,6 +8,7 @@ suite is reproducible.
 import contextlib
 import os
 import random
+import statistics
 import struct
 import time
 from pathlib import Path
@@ -26,7 +27,7 @@ from wsikv.history import (
 from wsikv.oracle import IsolationPolicy, StatusOracle, TxnState
 from wsikv.timestamps import TimestampOracle
 from wsikv.txn import Database
-from wsikv.wal import BatchPolicy, WriteAheadLog, recover
+from wsikv.wal import WriteAheadLog, recover
 from wsikv.workload import WorkloadSpec, bench_oracle, run
 
 SI, WSI = IsolationPolicy.SI, IsolationPolicy.WSI
@@ -271,7 +272,7 @@ def test_c6_crash_recovery_equivalence(tmp_path, capsys):
     for trial in range(trials):
         target = rng.randint(1, 1000)
         path = tmp_path / f"crash{trial}.wal"
-        wal = WriteAheadLog(path, BatchPolicy(max_bytes=512, max_delay=0.0005))
+        wal = WriteAheadLog(path)
         timestamps = TimestampOracle(wal, block_size=64)
         oracle = StatusOracle(timestamps, WSI, capacity=16, wal=wal)
         twin = TableTwin(16)
@@ -489,25 +490,31 @@ def _one_cpu():
 
 
 def test_c9_policy_throughput_within_20_percent(capsys):
-    # alternate measured runs and keep the best per policy: interpreter
-    # warmup otherwise biases whichever policy happens to run first. The
-    # clients share one CPU, so that how the host spreads four GIL-bound
-    # threads over its CPUs does not set the rate of either policy.
-    rates = {"si": 0.0, "wsi": 0.0}
+    # The host switches between speeds, so the ratio is taken within
+    # adjacent SI/WSI pairs, alternating which policy runs first, and the
+    # median pair decides; a uniform slowdown of one policy still shows in
+    # every pair. A warm-up run per policy comes first. The clients share one
+    # CPU, so that how the host spreads four GIL-bound threads over its CPUs
+    # does not set the rate of either policy.
+    ratios = []
     with _one_cpu():
         for policy in (SI, WSI):
             bench_oracle(policy, clients=4, requests=5_000, rows_per_txn=5, seed=90)
-        for _ in range(3):
-            for policy in (SI, WSI):
+        for pair in range(24):
+            rates = {}
+            for policy in (SI, WSI) if pair % 2 else (WSI, SI):
                 result = bench_oracle(
-                    policy, clients=4, requests=40_000, rows_per_txn=5, key_space=10_000, seed=91
+                    policy, clients=4, requests=10_000, rows_per_txn=5, key_space=10_000, seed=91
                 )
-                rates[policy.value] = max(rates[policy.value], result.decisions_per_sec)
-    ratio = max(rates.values()) / min(rates.values())
+                rates[policy] = result.decisions_per_sec
+            ratios.append(rates[SI] / rates[WSI])
+    m = statistics.median(ratios)
+    ratio = max(m, 1 / m)
     with capsys.disabled():
         report(
             9,
             "SI/WSI decision throughput within 20%",
             ratio <= 1.20,
-            f"(si={rates['si']:.0f}/s wsi={rates['wsi']:.0f}/s ratio={ratio:.3f})",
+            f"(median si/wsi over {len(ratios)} pairs {m:.3f}, "
+            f"pairs {min(ratios):.3f}-{max(ratios):.3f}, ratio={ratio:.3f})",
         )

@@ -5,7 +5,7 @@ import pytest
 from wsikv.cli import main
 from wsikv.oracle import IsolationPolicy
 from wsikv.txn import Database
-from wsikv.wal import BatchPolicy, WriteAheadLog
+from wsikv.wal import WriteAheadLog
 from wsikv.workload import BENCH_CSV_HEADER, CSV_HEADER
 
 FIXTURES = Path(__file__).resolve().parent.parent / "histories"
@@ -150,7 +150,7 @@ def test_bench_oracle_emits_row(capsys):
 
 
 def test_recover_prints_rebuilt_state(tmp_path, capsys):
-    wal = WriteAheadLog(tmp_path / "db.wal", BatchPolicy(max_delay=0.001))
+    wal = WriteAheadLog(tmp_path / "db.wal")
     db = Database(IsolationPolicy.WSI, wal=wal, block_size=10)
     for i in range(5):
         h = db.begin()

@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wsikv.timestamps import ReservationError, TimestampOracle
-from wsikv.wal import (
-    BatchPolicy,
-    KIND_TS_RESERVE,
-    WriteAheadLog,
-    read_records,
-    recover,
-)
-
-FAST = BatchPolicy(max_bytes=1024, max_delay=0.001)
+from wsikv.wal import KIND_TS_RESERVE, WriteAheadLog, read_records, recover
 
 
 def reservations(path):
@@ -43,14 +35,12 @@ def test_concurrent_next_values_are_unique():
     assert len(set(out)) == 10_000
 
 
-def test_reserve_block_serves_next_without_new_persistence(tmp_path):
-    wal = WriteAheadLog(tmp_path / "ts.wal", FAST)
+def test_block_serves_next_without_new_persistence(tmp_path):
+    wal = WriteAheadLog(tmp_path / "ts.wal")
     ts = TimestampOracle(wal, block_size=1000)
-    assert ts.reserve_block(1000) == 1
     values = [ts.next() for _ in range(1000)]
     assert values[0] == 1
     assert values[-1] == 1000
-    wal.sync()
     assert reservations(wal.path) == [1000]
     # the 1001st draw exhausts the block and triggers a new reservation
     assert ts.next() == 1001
@@ -59,7 +49,7 @@ def test_reserve_block_serves_next_without_new_persistence(tmp_path):
 
 
 def test_block_size_one_persists_each_timestamp(tmp_path):
-    wal = WriteAheadLog(tmp_path / "ts.wal", FAST)
+    wal = WriteAheadLog(tmp_path / "ts.wal")
     ts = TimestampOracle(wal, block_size=1)
     assert [ts.next() for _ in range(5)] == [1, 2, 3, 4, 5]
     wal.close()
@@ -68,7 +58,7 @@ def test_block_size_one_persists_each_timestamp(tmp_path):
 
 def test_recovery_resumes_above_highest_reservation(tmp_path):
     path = tmp_path / "ts.wal"
-    wal = WriteAheadLog(path, FAST)
+    wal = WriteAheadLog(path)
     ts = TimestampOracle(wal, block_size=1000)
     for _ in range(10):
         ts.next()  # crash mid-block: only 10 of 1000 issued
@@ -77,7 +67,7 @@ def test_recovery_resumes_above_highest_reservation(tmp_path):
     assert max(reservations(path)) == 1000
     _, highest = recover(path)
     assert highest == 1000
-    wal2 = WriteAheadLog(path, FAST)
+    wal2 = WriteAheadLog(path)
     ts2 = TimestampOracle(wal2, start_after=highest)
     value = ts2.next()
     wal2.close()
@@ -111,24 +101,14 @@ def test_failed_reservation_issues_nothing():
     assert ts.next() == 1
 
 
-def test_reserve_block_rejects_nonpositive():
-    ts = TimestampOracle()
+def test_block_size_must_be_positive():
     with pytest.raises(ValueError):
-        ts.reserve_block(0)
+        TimestampOracle(block_size=0)
 
 
-@given(
-    st.lists(
-        st.one_of(st.just("next"), st.integers(min_value=1, max_value=5)),
-        max_size=60,
-    )
-)
-def test_issued_values_strictly_increase(ops):
-    ts = TimestampOracle()
-    issued = []
-    for op in ops:
-        if op == "next":
-            issued.append(ts.next())
-        else:
-            ts.reserve_block(op)
-    assert issued == sorted(set(issued))
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=60))
+def test_issued_values_strictly_increase(block_size, draws):
+    ts = TimestampOracle(block_size=block_size)
+    issued = [ts.next() for _ in range(draws)]
+    assert issued == list(range(1, draws + 1))
+    assert ts.reserved_up_to == -(-draws // block_size) * block_size  # whole blocks only

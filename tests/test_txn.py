@@ -5,9 +5,10 @@ import time
 
 import pytest
 
+from wsikv import wal as wal_module
 from wsikv.oracle import IsolationPolicy
 from wsikv.txn import Database, HandleState, TransactionStateError
-from wsikv.wal import KIND_COMMIT, WalError
+from wsikv.wal import KIND_COMMIT, WalError, WriteAheadLog, read_records
 
 SI, WSI = IsolationPolicy.SI, IsolationPolicy.WSI
 
@@ -184,6 +185,8 @@ def test_operations_on_finished_handles_raise():
 class _CommitFailWal:
     """Reservations persist fine; commit records fail at flush time."""
 
+    error = None  # what a failed WriteAheadLog would raise from then on
+
     def append(self, rec):
         class _Ack:
             def wait(self, timeout=None):
@@ -202,13 +205,50 @@ def test_wal_failure_leaves_handle_active():
     assert h.state is HandleState.ACTIVE
 
 
-def test_recovered_database_decides_like_a_never_crashed_one(tmp_path):
-    import random
+def _oracle_state(db):
+    t = db.oracle.table
+    return t.commit_records, t.aborted, t.last_commit, t.t_max
 
-    from wsikv.wal import BatchPolicy, WriteAheadLog
 
+def test_unloggable_commit_changes_no_state(tmp_path):
     path = tmp_path / "db.wal"
-    wal = WriteAheadLog(path, BatchPolicy(max_delay=0.001))
+    db = Database(WSI, wal=WriteAheadLog(path))
+    long_row = b"x" * 70_000  # row ids longer than 65535 bytes cannot be framed
+    h = db.begin()
+    h.write(long_row, b"v")
+    with pytest.raises(ValueError):
+        h.commit()
+    assert h.state is HandleState.ACTIVE
+    assert db.oracle.table.commit_records == {}
+    assert db.begin().read(long_row) is None
+    db.close()
+    recovered = Database.recover(path)
+    assert _oracle_state(recovered) == _oracle_state(db)
+    recovered.close()
+
+
+def test_database_recover_decodes_each_record_once(tmp_path, monkeypatch):
+    path = tmp_path / "db.wal"
+    db = Database(WSI, wal=WriteAheadLog(path), block_size=4)
+    for i in range(10):
+        h = db.begin()
+        h.write(b"r%d" % i, b"v")
+        h.commit()
+    db.begin().abort()
+    db.close()
+    records = len(read_records(path))
+    decoded = []
+    decode = wal_module.decode_payload
+    monkeypatch.setattr(wal_module, "decode_payload", lambda p: decoded.append(p) or decode(p))
+    recovered = Database.recover(path)
+    assert len(decoded) == records
+    assert _oracle_state(recovered) == _oracle_state(db)
+    recovered.close()
+
+
+def test_recovered_database_decides_like_a_never_crashed_one(tmp_path):
+    path = tmp_path / "db.wal"
+    wal = WriteAheadLog(path)
     survivor = Database(WSI, capacity=8, wal=wal, block_size=16)
     rng = random.Random(23)
     rows = [b"r%d" % i for i in range(12)]
