@@ -7,8 +7,9 @@ timestamp and appended to its row's committed list, which therefore stays
 ascending by commit timestamp. Start timestamps are drawn in that same
 critical section, so a reader never starts while a commit is half installed
 and a snapshot read is a bisection of the committed list by the reader's
-start. Aborted writes are purged and never reach a committed list. A
-transaction always sees its own writes.
+start. On abort the oracle purges the writer's versions in the same critical
+section, so they never reach a committed list. A transaction always sees its
+own writes.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from __future__ import annotations
 import bisect
 import threading
 from typing import NamedTuple
-
-
-class PurgeStateError(RuntimeError):
-    """purge_aborted was called for a writer that is not aborted."""
 
 
 class CellVersion(NamedTuple):
@@ -62,17 +59,11 @@ class VersionedStore:
             i = bisect.bisect_left(versions, (reader_start_ts,))  # first at or after it
             return versions[i - 1][2] if i else None
 
-    def purge_aborted(self, row: bytes, writer_start_ts: int, status) -> None:
-        """Drop the tentative version of an aborted writer; no-op if absent."""
-        if not status.is_aborted(writer_start_ts):
-            raise PurgeStateError(
-                f"writer {writer_start_ts} is not aborted; refusing to purge"
-            )
+    def purge_aborted(self, writer_start_ts: int) -> None:
+        """Drop every tentative version of a writer; the oracle calls this when
+        it decides an abort. No-op for a writer that wrote nothing."""
         with self._lock:
-            writes = self._tentative.get(writer_start_ts, {})
-            writes.pop(row, None)
-            if not writes:
-                self._tentative.pop(writer_start_ts, None)
+            self._tentative.pop(writer_start_ts, None)
 
     def compact(self, low_watermark: int) -> None:
         """Maintenance GC: of each row's versions committed strictly below the

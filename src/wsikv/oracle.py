@@ -11,9 +11,12 @@ timestamp is below the watermark. An abort decision names its cause:
 "conflict" or "pessimistic" from the oracle, "client" for an abort the
 client asked for.
 
-Start timestamps are drawn in the critical section that decides a commit and
-installs its versions in the store, so no transaction starts while a commit
-is half installed and the store decides visibility without the oracle.
+The oracle owns the transaction lifecycle. Start timestamps are drawn in the
+critical section that decides a commit and installs its versions in the
+store, so no transaction starts while a commit is half installed and the
+store decides visibility without the oracle. A started transaction stays
+live until its decision, which installs its writes or discards them, and the
+oldest live start is the garbage-collection watermark.
 """
 
 from __future__ import annotations
@@ -125,8 +128,9 @@ class StatusOracle:
     """Decides commit requests inside one critical section per request.
 
     The conflict check, commit-timestamp draw, last-committer update and
-    installation of the committed versions in `store` form one atomic step,
-    and start() draws start timestamps inside the same lock. A decision is
+    installation of the committed versions in `store` (or the purge of an
+    aborted writer's versions) form one atomic step, and start() draws start
+    timestamps and registers them as live inside the same lock. A decision is
     appended to the write-ahead log before it changes any state, so a record
     that cannot be logged leaves the oracle as it was; appending only buffers,
     and the caller waits for durability after the lock is released.
@@ -148,19 +152,28 @@ class StatusOracle:
         self.wal = wal
         self.table = table if table is not None else CommitTable(capacity=capacity)
         self._lock = threading.Lock()
+        self._active: set[int] = set()  # start timestamps not yet decided
         self.committed_count = 0
         self.read_only_commits = 0
         self.conflict_aborts = 0
         self.pessimistic_aborts = 0
 
     def start(self) -> int:
-        """Draw a start timestamp; no commit is half installed at that moment.
-        Once the log has failed, raise its error: no reader may see a commit
-        whose record may not be durable."""
+        """Draw a start timestamp and register it as live; no commit is half
+        installed at that moment. Once the log has failed, raise its error: no
+        reader may see a commit whose record may not be durable."""
         with self._lock:
             if self.wal is not None and self.wal.error is not None:
                 raise self.wal.error
-            return self.timestamps.next()
+            ts = self.timestamps.next()
+            self._active.add(ts)
+            return ts
+
+    def low_watermark(self) -> int:
+        """The oldest live start timestamp, or the next timestamp when none is
+        live: no current or future reader starts below it."""
+        with self._lock:
+            return min(self._active) if self._active else self.timestamps.last_issued() + 1
 
     def submit(self, start_ts: int, write_set, read_set=()) -> CommitDecision:
         """Decide a commit request; the read set is checked only under WSI."""
@@ -196,8 +209,7 @@ class StatusOracle:
             if cause is None:
                 decision, ack = self._commit_locked(start_ts, write_set)
             else:
-                ack = self._append(KIND_ABORT, start_ts)
-                table.record_abort(start_ts)
+                ack = self._abort_locked(start_ts)
                 if cause == "pessimistic":
                     self.pessimistic_aborts += 1
                 else:
@@ -222,11 +234,8 @@ class StatusOracle:
         # outcomes are write-once, so this read takes no lock
         return self.table.commit_records.get(start_ts)
 
-    def is_aborted(self, start_ts: int) -> bool:
-        return start_ts in self.table.aborted
-
     def report_abort(self, start_ts: int) -> None:
-        """Record a client-side abandonment; idempotent."""
+        """Record a client-side abandonment and discard its writes; idempotent."""
         ack = None
         with self._lock:
             if start_ts in self.table.commit_records:
@@ -234,8 +243,7 @@ class StatusOracle:
                     f"transaction {start_ts} already committed"
                 )
             if start_ts not in self.table.aborted:
-                ack = self._append(KIND_ABORT, start_ts)
-                self.table.record_abort(start_ts)
+                ack = self._abort_locked(start_ts)
         if ack is not None:
             ack.wait()
 
@@ -248,10 +256,19 @@ class StatusOracle:
         self.table.apply_commit(start_ts, tc, rows)
         if self.store is not None:
             self.store.install(start_ts, tc)
+        self._active.discard(start_ts)
         self.committed_count += 1
         if not write_set:
             self.read_only_commits += 1
         return CommitDecision(True, tc), ack
+
+    def _abort_locked(self, start_ts: int):
+        ack = self._append(KIND_ABORT, start_ts)
+        self.table.record_abort(start_ts)
+        if self.store is not None:
+            self.store.purge_aborted(start_ts)
+        self._active.discard(start_ts)
+        return ack
 
     def _append(self, *record):
         # no WalRecord is built when no log is attached

@@ -18,10 +18,6 @@ from .wal import KIND_TS_RESERVE, WalRecord
 DEFAULT_BLOCK_SIZE = 1000
 
 
-class ReservationError(RuntimeError):
-    """A reservation could not be persisted; no timestamps were issued from it."""
-
-
 class TimestampOracle:
     def __init__(
         self,
@@ -40,18 +36,15 @@ class TimestampOracle:
         self._reserved_up_to = start_after
 
     def next(self) -> int:
-        """Issue the next timestamp, persisting a fresh block's reservation if needed."""
+        """Issue the next timestamp, persisting a fresh block's reservation if
+        needed. If the log fails to persist it, its error propagates and no
+        timestamp of that block is issued."""
         with self._lock:
             if self._next > self._reserved_up_to:
                 high = self._reserved_up_to + self._block_size
                 if self._wal is not None:
                     rec = WalRecord(kind=KIND_TS_RESERVE, reserved_up_to=high)
-                    try:
-                        self._wal.append(rec).wait()
-                    except Exception as exc:
-                        raise ReservationError(
-                            f"could not persist reservation up to {high}"
-                        ) from exc
+                    self._wal.append(rec).wait()
                 self._reserved_up_to = high
             ts = self._next
             self._next += 1

@@ -5,17 +5,16 @@ writes as tentative versions, and tracks the row identifiers it actually read
 and wrote. Commit submits those sets to the status oracle: the write set only
 under snapshot isolation, both sets under write-snapshot isolation, and an
 empty pair when a write-snapshot transaction is read-only. The oracle draws
-start timestamps and installs committed versions in the store, so reads never
-consult it.
+start timestamps, installs committed versions in the store and discards
+aborted ones, so reads never consult it.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 
 from .mvstore import VersionedStore
-from .oracle import CommitDecision, IsolationPolicy, StatusOracle, CommitTable
+from .oracle import CommitDecision, IsolationPolicy, StatusOracle
 from .timestamps import DEFAULT_BLOCK_SIZE, TimestampOracle
 from . import wal as _wal
 
@@ -69,7 +68,12 @@ class Transaction:
 
 
 class Database:
-    """Embeddable transactional layer over the multi-version store."""
+    """Embeddable transactional layer over the multi-version store.
+
+    Opening a database on a log recovers it: the records the log read when it
+    was opened are replayed into the commit table, and timestamps resume above
+    the highest persisted reservation, so none is issued twice.
+    """
 
     def __init__(
         self,
@@ -78,20 +82,19 @@ class Database:
         capacity: int | None = None,
         wal=None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        start_after: int = 0,
-        table: CommitTable | None = None,
     ):
         self.policy = policy
         self.wal = wal
+        records = wal.recovered if wal is not None else []
+        table, highest = _wal.replay(records, capacity)
+        records.clear()  # replayed into the table; not kept twice
         self.timestamps = TimestampOracle(
-            wal=wal, block_size=block_size, start_after=start_after
+            wal=wal, block_size=block_size, start_after=highest
         )
         self.store = VersionedStore()
         self.oracle = StatusOracle(
             self.timestamps, policy, capacity=capacity, wal=wal, table=table, store=self.store
         )
-        self._active: set[int] = set()
-        self._active_lock = threading.Lock()
 
     @classmethod
     def recover(
@@ -102,31 +105,13 @@ class Database:
         capacity: int | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> "Database":
-        """Rebuild oracle state from a write-ahead log and resume appending to it.
-
-        The log is read and decoded once, by opening it. The store itself is
-        not persisted; only oracle state survives a crash.
-        """
-        log = _wal.WriteAheadLog(path)
-        table, highest = _wal.replay(log.recovered, capacity=capacity)
-        log.recovered.clear()  # replayed into the table; not kept twice
-        return cls(
-            policy,
-            capacity=capacity,
-            wal=log,
-            block_size=block_size,
-            start_after=highest,
-            table=table,
-        )
+        """Shorthand for a database opened on `WriteAheadLog(path)`, which
+        recovers oracle state from the log and resumes appending to it. The
+        store itself is not persisted; only oracle state survives a crash."""
+        return cls(policy, capacity=capacity, wal=_wal.WriteAheadLog(path), block_size=block_size)
 
     def begin(self) -> Transaction:
-        # Drawn and registered in one step: a gc() between the two would set
-        # its watermark above this start and compact a version it must read.
-        # Lock order: _active_lock, the oracle lock, the timestamp lock.
-        with self._active_lock:
-            ts = self.oracle.start()
-            self._active.add(ts)
-        return Transaction(self, ts)
+        return Transaction(self, self.oracle.start())
 
     def seed_committed(self, row: bytes, value: bytes) -> None:
         """Commit one write-only transaction installing `row`, visible to
@@ -138,9 +123,7 @@ class Database:
 
     def gc(self) -> None:
         """Compact committed versions invisible to every current and future reader."""
-        with self._active_lock:
-            low = min(self._active) if self._active else self.timestamps.last_issued() + 1
-        self.store.compact(low)
+        self.store.compact(self.oracle.low_watermark())
 
     def close(self) -> None:
         if self.wal is not None:
@@ -161,18 +144,8 @@ class Database:
             h.commit_ts = decision.commit_ts
         else:
             h.state = HandleState.ABORTED
-            for row in h.write_set:
-                self.store.purge_aborted(row, h.start_ts, self.oracle)
-        self._release(h.start_ts)
         return decision
 
     def _abort(self, h: Transaction) -> None:
         self.oracle.report_abort(h.start_ts)
-        for row in h.write_set:
-            self.store.purge_aborted(row, h.start_ts, self.oracle)
         h.state = HandleState.ABORTED
-        self._release(h.start_ts)
-
-    def _release(self, start_ts: int) -> None:
-        with self._active_lock:
-            self._active.discard(start_ts)

@@ -122,9 +122,6 @@ class DurableAck:
         self._log = log
         self._seq = seq
 
-    def done(self) -> bool:
-        return self._log._durable >= self._seq
-
     def wait(self) -> None:
         self._log._wait(self._seq)
 
@@ -211,7 +208,9 @@ class WriteAheadLog:
 
     Opening an existing log reads it once: its intact records are kept in
     `recovered` for replay, and a torn tail is truncated so new appends start
-    at a clean boundary. `policy` is accepted and ignored (see BatchPolicy).
+    at a clean boundary. A file holding only part of the magic is a log whose
+    creation crashed and is created anew. `policy` is accepted and ignored
+    (see BatchPolicy).
     """
 
     def __init__(self, path: str | os.PathLike, policy: BatchPolicy | None = None):
@@ -225,18 +224,22 @@ class WriteAheadLog:
         self._durable = 0  # sequence number of the last durable record
         self._flushing = False
         self._closed = False
-        if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
+        data = b""
+        if os.path.exists(self.path):
             with open(self.path, "rb") as f:
                 data = f.read()
-            self.recovered, end = _scan(data, self.path)
-            self._file = open(self.path, "r+b")
-            self._file.truncate(end)
-            self._file.seek(end)
-        else:
+        if len(data) < len(MAGIC) and MAGIC.startswith(data):
+            # a new log, or one whose creation crashed before the whole magic
+            # was written: no record can have been appended to it
             self._file = open(self.path, "w+b")
             self._file.write(MAGIC)
             self._file.flush()
             os.fsync(self._file.fileno())
+        else:
+            self.recovered, end = _scan(data, self.path)
+            self._file = open(self.path, "r+b")
+            self._file.truncate(end)
+            self._file.seek(end)
 
     def append(self, rec: WalRecord) -> DurableAck:
         frame = rec.encode()

@@ -248,14 +248,11 @@ def run(
 ) -> RunMetrics:
     """Execute txn_count scripts across client_count concurrent clients.
 
-    Aborts are terminal for their script; nothing is retried. An existing
-    log is recovered first, so its timestamps are not decided again.
+    Aborts are terminal for their script; nothing is retried. Opening an
+    existing log recovers it, so its timestamps are not decided again.
     """
-    if wal_path and os.path.exists(wal_path) and os.path.getsize(wal_path) > 0:
-        db = Database.recover(wal_path, policy, capacity=capacity)
-    else:
-        wal = WriteAheadLog(wal_path) if wal_path else None
-        db = Database(policy, capacity=capacity, wal=wal)
+    wal = WriteAheadLog(wal_path) if wal_path else None
+    db = Database(policy, capacity=capacity, wal=wal)
 
     def worker(idx: int, share: int, ready) -> RunMetrics:
         rng = random.Random(spec.seed * 1_000_003 + idx)
@@ -273,8 +270,9 @@ def run(
                 else:
                     h.write(row, value)
                 # interleave clients per operation, as separate processes would;
-                # else one thread runs ~100 transactions per 5 ms interpreter slice
-                time.sleep(0)
+                # else one thread runs ~100 transactions per 5 ms interpreter slice.
+                # A bare yield: time.sleep(0) also waits out the kernel's timer slack
+                os.sched_yield()
             if h.commit().committed:
                 m.committed += 1
                 m.read_only_committed += read_only

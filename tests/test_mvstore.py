@@ -3,17 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsikv.mvstore import PurgeStateError, VersionedStore
-
-
-class StubStatus:
-    """Outcome source for purge_aborted's safety check."""
-
-    def __init__(self, aborted=()):
-        self._aborted = set(aborted)
-
-    def is_aborted(self, start_ts):
-        return start_ts in self._aborted
+from wsikv.mvstore import VersionedStore
 
 
 def test_rewrite_by_same_transaction_wins():
@@ -100,28 +90,22 @@ def test_purge_aborted_removes_version_and_preserves_reads():
     store.install(1, 2)
     store.put_tentative(b"x", 5, b"drop")
     store.put_tentative(b"y", 5, b"drop")
-    status = StubStatus(aborted={5})
+    store.put_tentative(b"y", 7, b"other")
     before = store.snapshot_read(b"x", 9)
-    store.purge_aborted(b"x", 5, status)
+    store.purge_aborted(5)
     assert store.snapshot_read(b"x", 9) == before == b"keep"
-    assert store.snapshot_read(b"x", 5) == b"keep"  # its own write is gone too
-    assert store.snapshot_read(b"y", 5) == b"drop"  # purged row by row
-    store.purge_aborted(b"y", 5, status)
-    assert store.snapshot_read(b"y", 5) is None
+    assert store.snapshot_read(b"x", 5) == b"keep"  # its own writes are gone too
+    assert store.snapshot_read(b"y", 5) is None  # the whole write set at once
+    assert store.snapshot_read(b"y", 7) == b"other"  # another writer's stays
+    store.install(5, 10)  # a purged writer has nothing left to install
     assert [v.writer_start_ts for v in store.versions(b"x")] == [1]
     assert store.rows() == [b"x"]
 
 
 def test_purge_absent_version_is_noop():
     store = VersionedStore()
-    store.purge_aborted(b"x", 5, StubStatus(aborted={5}))
-
-
-def test_purge_committed_or_inflight_version_is_an_error():
-    store = VersionedStore()
     store.put_tentative(b"x", 1, b"v")
-    with pytest.raises(PurgeStateError):
-        store.purge_aborted(b"x", 1, StubStatus())
+    store.purge_aborted(5)
     assert store.snapshot_read(b"x", 1) == b"v"
 
 
@@ -185,9 +169,8 @@ def test_reads_match_brute_force_and_never_see_future_commits(seed, reader_start
         store.put_tentative(row, writer, value)
     for writer in sorted(commits, key=commits.get):  # the oracle installs in commit order
         store.install(writer, commits[writer])
-    for writer, row, _ in puts:
-        if writer in aborted:
-            store.purge_aborted(row, writer, StubStatus(aborted))
+    for writer in aborted:
+        store.purge_aborted(writer)
     for row in (b"x", b"y"):
         wrote = {w: v for w, r, v in puts if r == row}
         if reader_start in in_flight and reader_start in wrote:

@@ -249,6 +249,21 @@ def test_report_abort_is_idempotent_and_respects_commits():
         oracle.report_abort(1)
 
 
+def test_low_watermark_is_the_oldest_live_start():
+    oracle, ts = make_oracle(SI)
+    assert oracle.low_watermark() == ts.last_issued() + 1 == 1
+    first, second, third, fourth = (oracle.start() for _ in range(4))
+    assert oracle.low_watermark() == first
+    oracle.submit(second, {b"x"})
+    assert oracle.low_watermark() == first  # a later decision leaves the oldest live
+    oracle.submit(first, {b"x"})  # conflict abort
+    assert oracle.low_watermark() == third
+    oracle.report_abort(third)
+    assert oracle.low_watermark() == fourth
+    oracle.submit(fourth, set())
+    assert oracle.low_watermark() == ts.last_issued() + 1
+
+
 def test_commit_timestamps_increase_in_decision_order():
     rng = random.Random(3)
     schedule = random_schedule(rng, n_txns=40)

@@ -1,4 +1,5 @@
 import random
+import shutil
 import sys
 import threading
 import time
@@ -6,7 +7,7 @@ import time
 import pytest
 
 from wsikv import wal as wal_module
-from wsikv.oracle import IsolationPolicy
+from wsikv.oracle import AlreadyCommittedError, IsolationPolicy
 from wsikv.txn import Database, HandleState, TransactionStateError
 from wsikv.wal import KIND_COMMIT, WalError, WriteAheadLog, read_records
 
@@ -140,6 +141,8 @@ def test_abort_discards_writes_for_everyone():
     assert h.state is HandleState.ABORTED
     assert db.begin().read(b"x") is None
     assert db.store.versions(b"x") == []
+    # no tentative version is left: the writer's own read would return it
+    assert db.store.snapshot_read(b"x", h.start_ts) is None
 
 
 def test_abort_of_read_only_handle_touches_no_state():
@@ -163,10 +166,22 @@ def test_conflict_abort_purges_tentative_versions():
     assert winner.commit().committed
     assert not loser.commit().committed
     assert loser.state is HandleState.ABORTED
+    assert db.store.snapshot_read(b"x", loser.start_ts) == b"v0"  # not its own b"stale"
     assert [v.writer_start_ts for v in db.store.versions(b"x")] == [
         winner.start_ts,
         seed.writer_start_ts,
     ]
+
+
+def test_report_abort_on_a_committed_transaction_keeps_its_versions():
+    db = Database(WSI)
+    h = db.begin()
+    h.write(b"x", b"v")
+    assert h.commit().committed
+    with pytest.raises(AlreadyCommittedError):
+        db.oracle.report_abort(h.start_ts)
+    assert db.begin().read(b"x") == b"v"
+    assert [v.writer_start_ts for v in db.store.versions(b"x")] == [h.start_ts]
 
 
 def test_operations_on_finished_handles_raise():
@@ -186,6 +201,7 @@ class _CommitFailWal:
     """Reservations persist fine; commit records fail at flush time."""
 
     error = None  # what a failed WriteAheadLog would raise from then on
+    recovered = []  # a new log: nothing to replay
 
     def append(self, rec):
         class _Ack:
@@ -246,6 +262,28 @@ def test_database_recover_decodes_each_record_once(tmp_path, monkeypatch):
     recovered.close()
 
 
+def test_opening_a_database_on_a_log_recovers_it(tmp_path):
+    path = tmp_path / "db.wal"
+    db = Database(WSI, wal=WriteAheadLog(path), block_size=4)
+    for i in range(9):
+        h = db.begin()
+        h.write(b"r%d" % (i % 3), b"v")
+        h.commit()
+    db.begin().abort()
+    db.close()
+    table, highest = wal_module.recover(path)
+    assert table.commit_records and table.aborted
+    copy = tmp_path / "copy.wal"
+    shutil.copy(path, copy)
+    reopened = Database(WSI, wal=WriteAheadLog(path), block_size=4)
+    recovered = Database.recover(copy, block_size=4)
+    assert _oracle_state(reopened) == _oracle_state(recovered) == _oracle_state(db)
+    start = reopened.begin().start_ts
+    assert start == recovered.begin().start_ts == highest + 1
+    reopened.close()
+    recovered.close()
+
+
 def test_recovered_database_decides_like_a_never_crashed_one(tmp_path):
     path = tmp_path / "db.wal"
     wal = WriteAheadLog(path)
@@ -261,8 +299,6 @@ def test_recovered_database_decides_like_a_never_crashed_one(tmp_path):
                 h.write(row, b"v")
         h.commit()
     # crash: rebuild a second database from a copy of the log
-    import shutil
-
     copy = tmp_path / "copy.wal"
     shutil.copy(path, copy)
     recovered = Database.recover(copy, WSI, capacity=8, block_size=16)
@@ -301,8 +337,9 @@ def test_gc_keeps_results_identical_for_live_and_future_readers():
 
 def test_gc_during_begin_keeps_the_new_snapshot_readable():
     # Another thread commits a newer x and runs gc() while begin() is between
-    # drawing its start timestamp and registering it. If begin registered
-    # late, gc's watermark would pass the new start and compact away b"old".
+    # drawing its start timestamp and the oracle registering it as live. If
+    # the oracle registered it outside the critical section that draws it,
+    # gc's watermark would pass the new start and compact away b"old".
     db = Database(WSI)
     db.seed_committed(b"x", b"old")
     real_next = db.timestamps.next

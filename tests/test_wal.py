@@ -49,10 +49,13 @@ def test_record_round_trip(kind, start_ts, commit_ts, rows, reserved):
 def test_appends_are_flushed_together_by_the_first_waiter(tmp_path):
     wal = WriteAheadLog(tmp_path / "x.wal")
     acks = [wal.append(WalRecord(KIND_COMMIT, 7, 9, (b"r",))) for _ in range(32)]
-    assert wal.flush_count == 0 and not any(a.done() for a in acks)
+    assert wal.flush_count == 0 and read_records(wal.path) == []
     acks[0].wait()
     assert wal.flush_count == 1
-    assert all(a.done() for a in acks)
+    assert len(read_records(wal.path)) == 32  # the first wait made all of them durable
+    for ack in acks:
+        ack.wait()
+    assert wal.flush_count == 1
     wal.close()
     assert len(read_records(wal.path)) == 32
 
@@ -149,6 +152,23 @@ def test_missing_magic_is_corruption(tmp_path):
     path.write_bytes(b"not a log")
     with pytest.raises(CorruptLogError):
         recover(path)
+
+
+def test_log_whose_creation_crashed_opens_as_new(tmp_path):
+    path = tmp_path / "x.wal"
+    path.write_bytes(MAGIC[:4])  # cut short while the magic was written
+    db = Database.recover(path)
+    h = db.begin()
+    h.write(b"x", b"1")
+    assert h.commit().committed  # waited: durable
+    db.close()
+    reopened = Database.recover(path)
+    assert reopened.oracle.table.commit_records == db.oracle.table.commit_records != {}
+    reopened.close()
+    for header in (b"WSIX", b"WSIWAX", MAGIC[:7] + b"2"):
+        path.write_bytes(header)
+        with pytest.raises(CorruptLogError):
+            WriteAheadLog(path)
 
 
 def test_recovery_matches_live_oracle_state(tmp_path):
@@ -378,7 +398,11 @@ def test_failed_fsync_fails_its_batch_and_stops_the_log(tmp_path, monkeypatch):
     fsync.release.set()
     _join(*waiters)
     assert len(errors) == 2 and errors[0] is errors[1] is wal.error
-    assert wal.flush_count == 1 and not any(a.done() for a in in_batch)
+    assert wal.flush_count == 1
+    for ack in in_batch:  # never durable: each wait raises the stored error
+        with pytest.raises(WalError) as raised:
+            ack.wait()
+        assert raised.value is wal.error
     size = path.stat().st_size
     with pytest.raises(WalError):
         wal.append(WalRecord(KIND_ABORT, 4))
@@ -404,6 +428,15 @@ def test_torn_write_stops_the_log_and_recovers_to_the_last_whole_record(tmp_path
     reopened.append(WalRecord(KIND_ABORT, 6)).wait()
     reopened.close()
     assert [r.start_ts for r in read_records(path)] == [1, 6]
+
+
+def test_failed_reservation_reaches_begin_as_the_log_error(tmp_path, monkeypatch):
+    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"), block_size=1)
+    monkeypatch.setattr(wal_module.os, "fsync", _failing_fsync)
+    with pytest.raises(WalError) as raised:
+        db.begin()  # its block's reservation cannot be made durable
+    assert raised.value is db.wal.error
+    assert db.timestamps.last_issued() == 0
 
 
 def test_failed_log_stops_the_engine_without_changing_the_table(tmp_path, monkeypatch):
