@@ -5,11 +5,28 @@ start timestamp, until the oracle decides it. On commit the oracle installs
 them inside its critical section: each version is stamped with its commit
 timestamp and appended to its row's committed list, which therefore stays
 ascending by commit timestamp. Start timestamps are drawn in that same
-critical section, so a reader never starts while a commit is half installed
-and a snapshot read is a bisection of the committed list by the reader's
-start. On abort the oracle purges the writer's versions in the same critical
+critical section, so a reader never starts while a commit is half installed.
+On abort the oracle purges the writer's versions in the same critical
 section, so they never reach a committed list. A transaction always sees its
 own writes.
+
+A snapshot read returns the reader's own write, else the row's newest
+committed version when it committed before the reader started, and takes the
+lock only to bisect the list by the reader's start otherwise. The lock-free
+path is safe because:
+
+(a) a committed list is never replaced, only appended to by `install`, in
+    commit order under the oracle lock, so every version installed after a
+    reader starts has a larger commit timestamp than the reader's start and
+    a newest version below it is the newest the reader can see;
+(b) `compact` only cuts the front of a list in place and always keeps its
+    newest element, so a list once non-empty stays so and its last element
+    is always the newest version installed;
+(c) a single `dict.get` or `list[-1]` is atomic in CPython.
+
+A reader's own tentative writes change only on its own thread, until its
+decision. Bisecting indexes the list, which `compact` shifts, so it holds the
+lock.
 """
 
 from __future__ import annotations
@@ -49,13 +66,16 @@ class VersionedStore:
 
     def snapshot_read(self, row: bytes, reader_start_ts: int) -> bytes | None:
         """The reader's own write, else the value committed latest before its start."""
+        mine = self._tentative.get(reader_start_ts)
+        if mine is not None and row in mine:
+            return mine[row][1]
+        versions = self._committed.get(row)
+        if not versions:
+            return None
+        newest = versions[-1]
+        if newest[0] < reader_start_ts:
+            return newest[2]
         with self._lock:
-            mine = self._tentative.get(reader_start_ts)
-            if mine is not None and row in mine:
-                return mine[row][1]
-            versions = self._committed.get(row)
-            if not versions:
-                return None
             i = bisect.bisect_left(versions, (reader_start_ts,))  # first at or after it
             return versions[i - 1][2] if i else None
 

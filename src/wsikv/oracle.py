@@ -251,15 +251,18 @@ class StatusOracle:
 
     def _commit_locked(self, start_ts: int, write_set: frozenset):
         tc = self.timestamps.next()
-        rows = tuple(sorted(write_set))
-        ack = self._append(KIND_COMMIT, start_ts, tc, rows)
-        self.table.apply_commit(start_ts, tc, rows)
-        if self.store is not None:
-            self.store.install(start_ts, tc)
+        if write_set:
+            rows = tuple(sorted(write_set))
+            ack = self._append(KIND_COMMIT, start_ts, tc, rows)
+            self.table.apply_commit(start_ts, tc, rows)
+            if self.store is not None:
+                self.store.install(start_ts, tc)
+        else:  # a read-only commit is only logged and recorded; it touches no row
+            ack = self._append(KIND_COMMIT, start_ts, tc, ())
+            self.table.commit_records[start_ts] = tc
+            self.read_only_commits += 1
         self._active.discard(start_ts)
         self.committed_count += 1
-        if not write_set:
-            self.read_only_commits += 1
         return CommitDecision(True, tc), ack
 
     def _abort_locked(self, start_ts: int):

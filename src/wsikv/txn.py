@@ -43,14 +43,16 @@ class Transaction:
         self.commit_ts: int | None = None
 
     def read(self, row: bytes) -> bytes | None:
-        self._check_active()
+        if self.state is not HandleState.ACTIVE:
+            self._check_active()
         value = self._db.store.snapshot_read(row, self.start_ts)
         # an absent row is still a dependency the transaction acted on
         self.read_set.add(row)
         return value
 
     def write(self, row: bytes, value: bytes) -> None:
-        self._check_active()
+        if self.state is not HandleState.ACTIVE:
+            self._check_active()
         self._db.store.put_tentative(row, self.start_ts, value)
         self.write_set.add(row)
 

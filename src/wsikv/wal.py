@@ -130,9 +130,14 @@ def _scan(data: bytes, path: str) -> tuple[list[WalRecord], int]:
     """Decode records, returning them plus the offset of the last intact one.
 
     A truncated or checksum-failing final record is discarded (torn write);
-    the same anywhere else raises CorruptLogError.
+    the same anywhere else raises CorruptLogError. An empty file, or one
+    holding only part of the magic, is a new log, or one whose creation
+    crashed before the whole magic was written: it holds no record, and the
+    offset returned is 0.
     """
-    if len(data) < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
+    if len(data) < len(MAGIC) and MAGIC.startswith(data):
+        return [], 0
+    if data[: len(MAGIC)] != MAGIC:
         raise CorruptLogError(0, f"{path}: missing log magic")
     records = []
     off = len(MAGIC)
@@ -228,15 +233,13 @@ class WriteAheadLog:
         if os.path.exists(self.path):
             with open(self.path, "rb") as f:
                 data = f.read()
-        if len(data) < len(MAGIC) and MAGIC.startswith(data):
-            # a new log, or one whose creation crashed before the whole magic
-            # was written: no record can have been appended to it
+        self.recovered, end = _scan(data, self.path)
+        if end == 0:  # a new log (see _scan)
             self._file = open(self.path, "w+b")
             self._file.write(MAGIC)
             self._file.flush()
             os.fsync(self._file.fileno())
         else:
-            self.recovered, end = _scan(data, self.path)
             self._file = open(self.path, "r+b")
             self._file.truncate(end)
             self._file.seek(end)

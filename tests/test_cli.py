@@ -166,3 +166,17 @@ def test_recover_prints_rebuilt_state(tmp_path, capsys):
 def test_recover_missing_file_fails(tmp_path, capsys):
     assert main(["recover", str(tmp_path / "nope.wal")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_recover_reads_an_empty_or_partly_created_log_as_empty(tmp_path, capsys):
+    # the rule WriteAheadLog opens such files by: a new log, holding no record
+    path = tmp_path / "db.wal"
+    for content in (b"", b"WSIW"):
+        path.write_bytes(content)
+        assert main(["recover", str(path)]) == 0
+        assert "commit_records=0" in capsys.readouterr().out
+    path.write_bytes(b"WSIX")
+    assert main(["recover", str(path)]) == 1
+    assert "missing log magic" in capsys.readouterr().err
+    assert main(["recover", str(tmp_path / "nope.wal")]) == 1
+    assert "error:" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Smoke tests: the experiment scripts and the benchmark run end to end."""
 
+import importlib.util
 import json
 import os
 import shutil
@@ -66,3 +67,52 @@ def test_benchmark_runs_traced_and_reports_every_declared_metric(tmp_path):
         assert result["correct"] is True
         missing = {m["name"] for m in declared["per_layer"]} - set(result["metrics"])
         assert not missing
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DECLARED = [
+    {"name": "txn_per_s", "better": "higher", "bound": 0.24},
+    {"name": "read_p50_us", "better": "lower", "bound": 0.24},
+]
+
+
+def test_bench_pairs_summary_applies_the_claim_rule_and_the_bounds():
+    summarize = load_bench_pairs().summarize
+    base = [{"txn_per_s": 100.0 + i, "read_p50_us": 1.0} for i in range(10)]  # IQR 5.5
+    # nine wins of ten and a median gain of 10: the claim holds
+    change = [{"txn_per_s": 110.0 + i, "read_p50_us": 1.2} for i in range(10)]
+    change[3]["txn_per_s"] = 50.0
+    s = summarize(base, change, DECLARED)
+    tps = s["txn_per_s"]
+    assert (tps["wins"], tps["pairs"], tps["claim_holds"], tps["worse_than_bound"]) == (9, 10, True, False)
+    assert tps["base"] == {"q1": 101.75, "median": 104.5, "q3": 107.25}
+    assert tps["change"]["median"] == 114.5 and tps["ratio"] == 114.5 / 104.5
+    # a latency 20 % up is no win and inside its 24 % bound; 30 % up is beyond it
+    p50 = s["read_p50_us"]
+    assert (p50["wins"], p50["claim_holds"], p50["worse_than_bound"]) == (0, False, False)
+    for c in change:
+        c["read_p50_us"] = 1.3
+    assert summarize(base, change, DECLARED)["read_p50_us"]["worse_than_bound"]
+
+
+def test_bench_pairs_claim_needs_nine_wins_in_ten_and_a_gain_beyond_the_base_spread():
+    summarize = load_bench_pairs().summarize
+    base = [{"txn_per_s": 100.0 + i, "read_p50_us": 2.0 - 0.1 * i} for i in range(10)]
+    # every pair won, but the median gains 3 against a base IQR of 5.5
+    change = [{"txn_per_s": 103.0 + i, "read_p50_us": 1.0 - 0.01 * i} for i in range(10)]
+    s = summarize(base, change, DECLARED)
+    assert s["txn_per_s"]["wins"] == 10 and not s["txn_per_s"]["claim_holds"]
+    # lower is better: every pair won and the median fell by 0.595, beyond the base IQR of 0.55
+    assert s["read_p50_us"]["wins"] == 10 and s["read_p50_us"]["claim_holds"]
+    # eight wins of ten fail however large the gain
+    change = [{"txn_per_s": 200.0 + i, "read_p50_us": 1.0} for i in range(10)]
+    change[0]["txn_per_s"] = change[1]["txn_per_s"] = 0.0
+    s = summarize(base, change, DECLARED)
+    assert s["txn_per_s"]["wins"] == 8 and not s["txn_per_s"]["claim_holds"]
+    assert not s["txn_per_s"]["worse_than_bound"]

@@ -1,3 +1,4 @@
+import bisect
 import random
 import shutil
 import sys
@@ -461,3 +462,85 @@ def test_concurrent_transfers_keep_every_snapshot_balanced():
     assert errors == []
     assert any(committed) and totals
     assert set(totals) == {800}
+
+
+def test_concurrent_snapshot_reads_return_the_newest_version_below_the_start():
+    # Writers rewrite a few hot rows, a gc() loop cuts their version lists and
+    # readers hold their snapshots across several reads, so reads take both
+    # the lock-free newest-version path and the locked bisection while
+    # installs and compactions run. Every read must return the committed
+    # write with the largest commit timestamp below the reader's start, by
+    # the writers' own decisions, or the reader's own write.
+    db = Database(WSI)
+    rows = [b"hot%d" % i for i in range(4)]
+    committed = []  # (commit ts, row, value)
+    for row in rows:
+        h = db.begin()
+        h.write(row, b"seed")
+        committed.append((h.commit().commit_ts, row, b"seed"))
+    reads = []  # (reader start ts, row, value read, own write or None)
+    deadline = time.monotonic() + 1.0
+
+    def writer(wid):
+        rng = random.Random(wid)
+        k = 0
+        while time.monotonic() < deadline:
+            row, value = rng.choice(rows), b"w%d-%d" % (wid, k)
+            k += 1
+            h = db.begin()
+            reads.append((h.start_ts, row, h.read(row), None))
+            h.write(row, value)
+            reads.append((h.start_ts, row, h.read(row), value))
+            d = h.commit()
+            if d.committed:
+                committed.append((d.commit_ts, row, value))
+
+    def reader(rid):
+        rng = random.Random(100 + rid)
+        while time.monotonic() < deadline:
+            h = db.begin()
+            for _ in range(8):
+                row = rng.choice(rows)
+                reads.append((h.start_ts, row, h.read(row), None))
+                time.sleep(0)
+            assert h.commit().committed
+
+    def collect(_):
+        while time.monotonic() < deadline:
+            db.gc()
+
+    errors = []
+
+    def guarded(body, arg):
+        try:
+            body(arg)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    bodies = [writer] * 3 + [reader] * 2 + [collect]
+    workers = [threading.Thread(target=guarded, args=(body, i)) for i, body in enumerate(bodies)]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in workers)
+    assert errors == []
+    history = {row: [] for row in rows}  # per row, (commit ts, value) ascending
+    for tc, row, value in sorted(committed):
+        history[row].append((tc, value))
+    assert len(committed) > 2 * len(rows) and len(reads) > 1000
+    wrong = []
+    for start, row, value, own in reads:
+        if own is not None:
+            expected = own
+        else:
+            versions = history[row]
+            expected = versions[bisect.bisect_left(versions, (start,)) - 1][1]
+        if value != expected:
+            wrong.append((start, row, value, expected))
+    assert wrong == [], f"{len(wrong)} of {len(reads)} reads wrong, first {wrong[0]}"
