@@ -2,11 +2,13 @@
 
 One strictly increasing counter serves both transaction start and commit
 timestamps, so the two families are directly comparable. Issuance is covered
-by durable block reservations: the oracle persists a reservation for a block
-of timestamps through the write-ahead log and then serves from the block
-without touching storage until it is exhausted. After a crash, issuance
-resumes above the highest persisted reservation, so an abandoned block is
-never reused.
+by durable block reservations: no timestamp of a block is issued before the
+block's reservation is durable in the write-ahead log. The reservation of the
+next block is appended, without waiting, once half the current block is
+issued, and waited for only when issuance crosses into that block; by then a
+commit's flush has normally made it durable, so issuance seldom waits on the
+log. After a crash, issuance resumes above the highest persisted reservation,
+so an abandoned block is never reused.
 """
 
 from __future__ import annotations
@@ -33,22 +35,42 @@ class TimestampOracle:
         self._block_size = block_size
         self._lock = threading.Lock()
         self._next = start_after + 1
-        self._reserved_up_to = start_after
+        self._reserved_up_to = start_after  # highest durable reservation
+        self._pending = None  # (ack, high) of the next block's appended reservation
+        self._check_at = start_after + 1  # the next draw that enters a block or reserves ahead
 
     def next(self) -> int:
-        """Issue the next timestamp, persisting a fresh block's reservation if
-        needed. If the log fails to persist it, its error propagates and no
-        timestamp of that block is issued."""
+        """Issue the next timestamp. Entering a block waits for its reservation
+        to be durable; if the log fails to persist it, its error propagates and
+        no timestamp of that block is issued."""
         with self._lock:
-            if self._next > self._reserved_up_to:
-                high = self._reserved_up_to + self._block_size
-                if self._wal is not None:
-                    rec = WalRecord(kind=KIND_TS_RESERVE, reserved_up_to=high)
-                    self._wal.append(rec).wait()
-                self._reserved_up_to = high
             ts = self._next
-            self._next += 1
+            if ts >= self._check_at:
+                self._advance(ts)
+            self._next = ts + 1
             return ts
+
+    def _advance(self, ts: int) -> None:
+        """Enter the next block, or reserve it ahead; set the next draw to check at."""
+        if ts > self._reserved_up_to:
+            self._pending = self._pending or self._reserve()
+            ack, high = self._pending
+            if ack is not None:
+                ack.wait()
+            self._pending = None
+            self._reserved_up_to = high
+            # reserve ahead at the first draw after half the block is issued
+            half = high - self._block_size + 1 + (self._block_size + 1) // 2
+            self._check_at = half if self._wal is not None else high + 1
+        else:  # half the block is issued
+            self._pending = self._reserve()
+            self._check_at = self._reserved_up_to + 1
+
+    def _reserve(self):
+        high = self._reserved_up_to + self._block_size
+        if self._wal is None:
+            return None, high
+        return self._wal.append(WalRecord(kind=KIND_TS_RESERVE, reserved_up_to=high)), high
 
     def last_issued(self) -> int:
         with self._lock:

@@ -1,3 +1,5 @@
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from wsikv.cli import main
 from wsikv.oracle import IsolationPolicy
 from wsikv.txn import Database
-from wsikv.wal import WriteAheadLog
+from wsikv.wal import CorruptLogError, WriteAheadLog
 from wsikv.workload import BENCH_CSV_HEADER, CSV_HEADER
 
 FIXTURES = Path(__file__).resolve().parent.parent / "histories"
@@ -180,3 +182,15 @@ def test_recover_reads_an_empty_or_partly_created_log_as_empty(tmp_path, capsys)
     assert "missing log magic" in capsys.readouterr().err
     assert main(["recover", str(tmp_path / "nope.wal")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_recover_refuses_a_version_1_log(tmp_path, capsys):
+    payload = struct.pack("<BQ", 2, 1)  # an abort record in the version 1 framing
+    content = b"WSIWAL01" + struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+    path = tmp_path / "old.wal"
+    path.write_bytes(content)
+    assert main(["recover", str(path)]) == 1
+    assert "unsupported log version WSIWAL01" in capsys.readouterr().err
+    with pytest.raises(CorruptLogError, match="unsupported log version"):
+        WriteAheadLog(path)
+    assert path.read_bytes() == content

@@ -35,15 +35,28 @@ def test_concurrent_next_values_are_unique():
     assert len(set(out)) == 10_000
 
 
-def test_block_serves_next_without_new_persistence(tmp_path):
+def test_block_serves_next_without_new_persistence(tmp_path, monkeypatch):
     wal = WriteAheadLog(tmp_path / "ts.wal")
+    appended = []
+    append = wal.append
+    monkeypatch.setattr(wal, "append", lambda rec: appended.append(rec.reserved_up_to) or append(rec))
     ts = TimestampOracle(wal, block_size=1000)
-    values = [ts.next() for _ in range(1000)]
+    values = [ts.next() for _ in range(500)]
     assert values[0] == 1
-    assert values[-1] == 1000
-    assert reservations(wal.path) == [1000]
-    # the 1001st draw exhausts the block and triggers a new reservation
+    assert values[-1] == 500
+    assert appended == [1000] and wal.flush_count == 1  # waited for once
+    # half the block is issued: the next block's reservation is appended, not waited for
+    assert ts.next() == 501
+    assert appended == [1000, 2000] and wal.flush_count == 1
+    assert [ts.next() for _ in range(499)][-1] == 1000
+    assert appended == [1000, 2000] and wal.flush_count == 1
+    assert reservations(wal.path) == [1000]  # 2000 is buffered, not durable
+    assert ts.reserved_up_to == 1000
+    # the 1001st draw enters the next block: it waits for that reservation
     assert ts.next() == 1001
+    assert appended == [1000, 2000] and wal.flush_count == 2
+    assert reservations(wal.path) == [1000, 2000]
+    assert ts.reserved_up_to == 2000
     wal.close()
     assert reservations(wal.path) == [1000, 2000]
 

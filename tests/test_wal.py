@@ -1,5 +1,7 @@
 import errno
 import os
+import stat
+import sys
 import threading
 import time
 
@@ -11,6 +13,8 @@ from wsikv.oracle import CommitTable, IsolationPolicy, StatusOracle
 from wsikv.timestamps import TimestampOracle
 from wsikv.txn import Database, HandleState
 from wsikv.wal import (
+    CHUNK_SIZE,
+    HEADER_SIZE,
     CorruptLogError,
     KIND_ABORT,
     KIND_COMMIT,
@@ -43,7 +47,7 @@ def test_record_round_trip(kind, start_ts, commit_ts, rows, reserved):
     else:
         rec = WalRecord(kind, start_ts, reserved_up_to=reserved)
     frame = rec.encode()
-    assert decode_payload(frame[8:]) == rec
+    assert decode_payload(frame[4:]) == rec
 
 
 def test_appends_are_flushed_together_by_the_first_waiter(tmp_path):
@@ -58,6 +62,51 @@ def test_appends_are_flushed_together_by_the_first_waiter(tmp_path):
     assert wal.flush_count == 1
     wal.close()
     assert len(read_records(wal.path)) == 32
+
+
+def test_file_grows_in_zero_filled_chunks_and_close_trims_them(tmp_path):
+    path = tmp_path / "x.wal"
+    wal = WriteAheadLog(path)
+    first = WalRecord(KIND_COMMIT, 1, 2, (b"a",))
+    wal.append(first).wait()
+    end = len(MAGIC) + HEADER_SIZE + len(first.encode())
+    assert path.stat().st_size == CHUNK_SIZE
+    assert path.stat().st_blocks * 512 >= CHUNK_SIZE  # written zeros, not a hole
+    assert path.read_bytes()[end:] == bytes(CHUNK_SIZE - end)
+    big = WalRecord(KIND_COMMIT, 3, 4, tuple(b"%05d" % i + bytes(60_000) for i in range(20)))
+    wal.append(big).wait()  # crosses the allocated end
+    assert path.stat().st_size == 2 * CHUNK_SIZE
+    wal.close()
+    assert path.stat().st_size == end + HEADER_SIZE + len(big.encode())
+    assert read_records(path) == [first, big]
+
+
+def test_concurrent_waiters_lose_no_record(tmp_path):
+    path = tmp_path / "x.wal"
+    wal = WriteAheadLog(path)
+    done, switch = [], sys.getswitchinterval()
+
+    def client(c):
+        for i in range(150):
+            wal.append(WalRecord(KIND_ABORT, c * 1000 + i)).wait()
+        done.append(c)
+
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=client, args=(c,)) for c in range(6)]
+        for t in clients:
+            t.start()
+        _join(*clients)
+    finally:
+        sys.setswitchinterval(switch)
+    assert sorted(done) == list(range(6))
+    flushes = wal.flush_count
+    wal.close()
+    starts = [r.start_ts for r in read_records(path)]
+    assert sorted(starts) == sorted(c * 1000 + i for c in range(6) for i in range(150))
+    for c in range(6):  # each client's records in its own order
+        assert [s for s in starts if s // 1000 == c] == [c * 1000 + i for i in range(150)]
+    assert flushes <= len(starts)
 
 
 def test_close_flushes_records_nobody_waited_for(tmp_path):
@@ -140,11 +189,28 @@ def test_checksum_failure_before_end_is_corruption(tmp_path):
     wal.append(WalRecord(KIND_ABORT, 2)).wait()
     wal.close()
     data = bytearray(path.read_bytes())
-    first_payload_at = len(MAGIC) + 8
+    first_payload_at = len(MAGIC) + HEADER_SIZE + 4
     data[first_payload_at] ^= 0xFF
     path.write_bytes(bytes(data))
     with pytest.raises(CorruptLogError):
         read_records(path)
+
+
+def test_header_bytes_inside_a_torn_batch_are_not_a_batch(tmp_path):
+    path = tmp_path / "x.wal"
+    wal = WriteAheadLog(path)
+    wal.append(WalRecord(KIND_ABORT, 1)).wait()
+    wal.close()
+    copied = path.read_bytes()[len(MAGIC) : len(MAGIC) + HEADER_SIZE]  # a valid header
+    last_start = path.stat().st_size
+    wal = WriteAheadLog(path)
+    wal.append(WalRecord(KIND_COMMIT, 2, 3, (copied,))).wait()  # a row id holding it
+    wal.close()
+    data = bytearray(path.read_bytes())
+    data[last_start + HEADER_SIZE + 4 + 9] ^= 0xFF  # the final batch's commit timestamp
+    path.write_bytes(bytes(data))
+    # the copy names another offset, so it does not make the torn tail look like corruption
+    assert read_records(path) == [WalRecord(KIND_ABORT, 1)]
 
 
 def test_missing_magic_is_corruption(tmp_path):
@@ -165,10 +231,46 @@ def test_log_whose_creation_crashed_opens_as_new(tmp_path):
     reopened = Database.recover(path)
     assert reopened.oracle.table.commit_records == db.oracle.table.commit_records != {}
     reopened.close()
-    for header in (b"WSIX", b"WSIWAX", MAGIC[:7] + b"2"):
+    for header in (b"WSIX", b"WSIWAX", MAGIC[:7] + b"9"):
         path.write_bytes(header)
         with pytest.raises(CorruptLogError):
             WriteAheadLog(path)
+
+
+def test_new_log_is_created_atomically(tmp_path, monkeypatch):
+    path = tmp_path / "x.wal"
+    path.write_bytes(MAGIC[:4])  # an earlier creation cut short
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        st = os.fstat(fd)
+        events.append("sync dir" if stat.S_ISDIR(st.st_mode) else f"sync {st.st_size} B file")
+        fsync(fd)
+
+    crash = [True]
+
+    def recording_replace(src, dst):
+        events.append(f"rename {os.path.basename(src)}")
+        if crash:
+            raise OSError(errno.EIO, "injected crash at the rename")
+        replace(src, dst)
+
+    monkeypatch.setattr(wal_module.os, "fsync", recording_fsync)
+    monkeypatch.setattr(wal_module.os, "replace", recording_replace)
+    with pytest.raises(OSError):
+        WriteAheadLog(path)
+    assert events == ["sync 8 B file", "rename x.wal.tmp"]
+    assert path.read_bytes() == MAGIC[:4]  # untouched until the rename
+    assert (tmp_path / "x.wal.tmp").read_bytes() == MAGIC
+    crash.clear()
+    events.clear()
+    wal = WriteAheadLog(path)
+    assert events == ["sync 8 B file", "rename x.wal.tmp", "sync dir"]
+    assert not (tmp_path / "x.wal.tmp").exists()
+    wal.append(WalRecord(KIND_ABORT, 1)).wait()
+    wal.close()
+    assert read_records(path) == [WalRecord(KIND_ABORT, 1)]
 
 
 def test_recovery_matches_live_oracle_state(tmp_path):
@@ -235,9 +337,9 @@ def test_replaying_commits_reproduces_bounded_table(tmp_path):
 # -- fault injection -----------------------------------------------------------
 
 
-def _mixed_log(path):
-    """Write 12 commit, abort and reservation records; return them and the
-    byte offset at which each one ends."""
+def _batched_log(path):
+    """Write 12 commit, abort and reservation records in 5 batches; return the
+    batches, as lists of records, and the byte offset at which each one ends."""
     recs = [WalRecord(KIND_TS_RESERVE, reserved_up_to=50)]
     for i in range(1, 11):
         if i % 3:
@@ -245,73 +347,135 @@ def _mixed_log(path):
         else:
             recs.append(WalRecord(KIND_ABORT, i))
     recs.append(WalRecord(KIND_TS_RESERVE, reserved_up_to=200))
+    batches = [recs[0:1], recs[1:4], recs[4:6], recs[6:10], recs[10:12]]
     wal = WriteAheadLog(path)
-    for rec in recs:
-        wal.append(rec)
+    for batch in batches:
+        acks = [wal.append(rec) for rec in batch]
+        acks[-1].wait()
+    assert wal.flush_count == len(batches)
     wal.close()
     ends, end = [], len(MAGIC)
-    for rec in recs:
-        end += len(rec.encode())
+    for batch in batches:
+        end += HEADER_SIZE + sum(len(rec.encode()) for rec in batch)
         ends.append(end)
-    return recs, ends
+    return batches, ends
 
 
-def test_truncation_at_every_byte_recovers_exactly_the_records_before_it(tmp_path):
-    recs, ends = _mixed_log(tmp_path / "full.wal")
-    data = (tmp_path / "full.wal").read_bytes()
-    assert len(recs) == 12 and ends[-1] == len(data)
-    path = tmp_path / "cut.wal"
+def _records(batches):
+    return [rec for batch in batches for rec in batch]
+
+
+def _reopen_recovers(path, kept, boundary):
+    """Reopening cuts the log back to `boundary` and appends after `kept`."""
     extra = WalRecord(KIND_ABORT, 999)
+    wal = WriteAheadLog(path)
+    assert wal.recovered == kept
+    assert path.stat().st_size == boundary
+    wal.append(extra).wait()
+    wal.close()
+    assert read_records(path) == kept + [extra]
+
+
+def test_truncation_at_every_byte_recovers_exactly_the_batches_before_it(tmp_path):
+    batches, ends = _batched_log(tmp_path / "full.wal")
+    data = (tmp_path / "full.wal").read_bytes()
+    assert ends[-1] == len(data)  # close() trimmed the zero tail
+    path = tmp_path / "cut.wal"
     for cut in range(len(MAGIC), len(data) + 1):
         path.write_bytes(data[:cut])
-        kept = [rec for rec, end in zip(recs, ends) if end <= cut]
+        whole = [end for end in ends if end <= cut]
+        kept = _records(batches[: len(whole)])
         assert read_records(path) == kept, cut
-        wal = WriteAheadLog(path)  # reopening truncates to the last boundary
-        assert wal.recovered == kept, cut
-        assert path.stat().st_size == max([len(MAGIC)] + ends[: len(kept)]), cut
-        wal.append(extra).wait()
-        wal.close()
-        assert read_records(path) == kept + [extra], cut
+        _reopen_recovers(path, kept, max([len(MAGIC)] + whole))
 
 
-def test_flipped_checksum_or_payload_byte_is_corruption_unless_in_the_final_record(tmp_path):
-    recs, ends = _mixed_log(tmp_path / "full.wal")
+def test_zeroing_from_every_byte_to_the_end_recovers_the_intact_batches(tmp_path):
+    # how a crash leaves a preallocated file: what never reached the disk reads as zeros
+    batches, ends = _batched_log(tmp_path / "full.wal")
+    data = (tmp_path / "full.wal").read_bytes()
+    starts = [len(MAGIC)] + ends[:-1]
+    path = tmp_path / "zeroed.wal"
+    for cut in range(len(MAGIC), len(data)):
+        zeroed = data[:cut] + bytes(len(data) - cut + 4096)
+        # a batch whose zeroed bytes were zeros already is intact; all later ones are not
+        intact = [zeroed[s:e] == data[s:e] for s, e in zip(starts, ends)]
+        whole = intact.index(False) if False in intact else len(intact)
+        assert not any(intact[whole:]), cut
+        kept = _records(batches[:whole])
+        path.write_bytes(zeroed)
+        assert read_records(path) == kept, cut
+        _reopen_recovers(path, kept, ([len(MAGIC)] + ends)[whole])
+
+
+def test_flipped_byte_is_corruption_unless_in_the_final_batch(tmp_path):
+    batches, ends = _batched_log(tmp_path / "full.wal")
     data = (tmp_path / "full.wal").read_bytes()
     path = tmp_path / "flipped.wal"
     starts = [len(MAGIC)] + ends[:-1]
     for i, (start, end) in enumerate(zip(starts, ends)):
-        # skip the length field: a flipped length reads as a torn tail
-        for off in range(start + 4, end):
+        for off in range(start, end):  # header, record lengths and payloads alike
             flipped = bytearray(data)
             flipped[off] ^= 0xFF
             path.write_bytes(bytes(flipped))
-            if i < len(recs) - 1:
+            if i < len(batches) - 1:
                 with pytest.raises(CorruptLogError):
                     read_records(path)
             else:
-                assert read_records(path) == recs[:-1], off
+                assert read_records(path) == _records(batches[:-1]), off
 
 
-class _BlockingFsync:
-    """Stands in for os.fsync: blocks until released, then fails or syncs."""
+def test_zeroed_hole_drops_the_final_batch_and_is_corruption_earlier(tmp_path):
+    # sectors of the last batch persisted out of order: its middle is missing
+    batches, ends = _batched_log(tmp_path / "full.wal")
+    data = (tmp_path / "full.wal").read_bytes()
+    path = tmp_path / "hole.wal"
+    last_start = ends[-2]
+    holed = bytearray(data)
+    holed[last_start + HEADER_SIZE + 4 : ends[-1] - 4] = bytes(ends[-1] - last_start - HEADER_SIZE - 8)
+    path.write_bytes(bytes(holed) + bytes(4096))
+    kept = _records(batches[:-1])
+    assert read_records(path) == kept
+    _reopen_recovers(path, kept, last_start)
+    mid_start = ends[1]
+    holed = bytearray(data)
+    holed[mid_start + HEADER_SIZE + 4 : ends[2] - 4] = bytes(ends[2] - mid_start - HEADER_SIZE - 8)
+    path.write_bytes(bytes(holed))
+    with pytest.raises(CorruptLogError):
+        read_records(path)
+
+
+def test_corrupt_length_in_the_first_batch_is_refused_without_truncating(tmp_path):
+    # read as a torn tail, it would make every acknowledged record vanish on reopen
+    _batched_log(tmp_path / "full.wal")
+    data = bytearray((tmp_path / "full.wal").read_bytes())
+    data[len(MAGIC) + 8 + 2] ^= 0x01  # the header's body length
+    path = tmp_path / "bad.wal"
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorruptLogError):
+        WriteAheadLog(path)
+    assert path.read_bytes() == data  # refused, not truncated
+
+
+class _BlockingSync:
+    """Stands in for os.fdatasync: blocks until released, then fails or syncs."""
 
     def __init__(self, monkeypatch, fail=False):
         self.entered = threading.Event()
         self.release = threading.Event()
         self.fail = fail
-        self._fsync = os.fsync
-        monkeypatch.setattr(wal_module.os, "fsync", self)
+        self._sync = os.fdatasync
+        monkeypatch.setattr(wal_module.os, "fdatasync", self)
 
     def __call__(self, fd):
         self.entered.set()
         self.release.wait(5.0)
         if self.fail:
-            raise OSError(errno.EIO, "injected fsync failure")
-        self._fsync(fd)
+            raise OSError(errno.EIO, "injected sync failure")
+        self._sync(fd)
 
 
-def _failing_fsync(fd):
-    raise OSError(errno.EIO, "injected fsync failure")
+def _failing_sync(fd):
+    raise OSError(errno.EIO, "injected sync failure")
 
 
 def _join(*threads):
@@ -320,32 +484,30 @@ def _join(*threads):
         assert not t.is_alive()
 
 
-class _TornFile:
-    """File wrapper whose writes keep only their first `keep` bytes, then fail."""
+class _TornPwrite:
+    """Stands in for os.pwrite: writes only the first `keep` bytes, then fails."""
 
-    def __init__(self, f, keep):
-        self._f = f
+    def __init__(self, monkeypatch, keep):
+        self._pwrite = os.pwrite
         self._keep = keep
+        monkeypatch.setattr(wal_module.os, "pwrite", self)
 
-    def write(self, data):
-        self._f.write(data[: self._keep])
+    def __call__(self, fd, data, offset):
+        self._pwrite(fd, data[: self._keep], offset)
         raise OSError(errno.ENOSPC, "injected write failure")
-
-    def __getattr__(self, name):
-        return getattr(self._f, name)
 
 
 def test_append_returns_while_a_flush_waits_on_fsync(tmp_path, monkeypatch):
     wal = WriteAheadLog(tmp_path / "x.wal")
-    fsync = _BlockingFsync(monkeypatch)
+    sync = _BlockingSync(monkeypatch)
     leader = threading.Thread(target=wal.append(WalRecord(KIND_ABORT, 1)).wait)
     leader.start()
-    assert fsync.entered.wait(2.0)
+    assert sync.entered.wait(2.0)
     second = threading.Thread(target=wal.append, args=(WalRecord(KIND_ABORT, 2),))
     second.start()
     second.join(0.5)
     returned = not second.is_alive()
-    fsync.release.set()
+    sync.release.set()
     _join(leader, second)
     assert returned, "append waited for an fsync in progress"
     wal.close()
@@ -353,15 +515,34 @@ def test_append_returns_while_a_flush_waits_on_fsync(tmp_path, monkeypatch):
     assert wal.flush_count == 2  # the second record formed the next batch
 
 
+def test_waiter_queued_behind_a_flush_that_covers_it_does_not_flush_again(tmp_path, monkeypatch):
+    wal = WriteAheadLog(tmp_path / "x.wal")
+    acks = [wal.append(WalRecord(KIND_ABORT, i)) for i in (1, 2)]
+    sync = _BlockingSync(monkeypatch)
+    leader = threading.Thread(target=acks[0].wait)
+    leader.start()
+    assert sync.entered.wait(2.0)
+    follower = threading.Thread(target=acks[1].wait)
+    follower.start()
+    follower.join(0.2)
+    queued = follower.is_alive()  # its record is in the batch being synced
+    sync.release.set()
+    _join(leader, follower)
+    assert queued, "a waiter returned before its record was durable"
+    assert wal.flush_count == 1
+    wal.close()
+    assert [r.start_ts for r in read_records(wal.path)] == [1, 2]
+
+
 def test_begin_proceeds_while_committers_wait_on_fsync(tmp_path, monkeypatch):
     db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
     first, second = db.begin(), db.begin()  # the timestamp block is reserved
     first.write(b"x", b"1")
     second.write(b"y", b"2")
-    fsync = _BlockingFsync(monkeypatch)
+    sync = _BlockingSync(monkeypatch)
     committers = [threading.Thread(target=h.commit) for h in (first, second)]
     committers[0].start()
-    assert fsync.entered.wait(2.0)
+    assert sync.entered.wait(2.0)
     committers[1].start()
     deadline = time.monotonic() + 2.0
     while len(db.oracle.table.commit_records) < 2 and time.monotonic() < deadline:
@@ -371,10 +552,38 @@ def test_begin_proceeds_while_committers_wait_on_fsync(tmp_path, monkeypatch):
     reader.start()
     reader.join(0.5)
     returned = bool(began)
-    fsync.release.set()
+    sync.release.set()
     _join(*committers, reader)
     assert returned, "begin waited for an fsync in progress"
     db.close()
+
+
+def test_begin_inside_a_block_returns_while_a_sync_is_blocked(tmp_path, monkeypatch):
+    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"), block_size=4)
+    writer = db.begin()  # start 1: the block up to 4 is reserved and waited for
+    writer.write(b"x", b"1")
+    sync = _BlockingSync(monkeypatch)
+    committer = threading.Thread(target=writer.commit)  # commit 2: its flush blocks
+    committer.start()
+    assert sync.entered.wait(2.0)
+    began = []
+    # start 3: half the block is issued, so this begin appends the next reservation
+    reader = threading.Thread(target=lambda: began.append(db.begin()))
+    reader.start()
+    reader.join(0.5)
+    returned = bool(began)
+    sync.release.set()
+    _join(committer, reader)
+    assert returned, "begin inside a block waited for a sync in progress"
+    assert db.timestamps.reserved_up_to == 4
+    began[0].write(b"y", b"2")
+    assert began[0].commit().committed  # commit 4: its flush carries the reservation
+    flushes = db.wal.flush_count
+    assert db.begin().start_ts == 5  # entering the next block waits for no flush
+    assert db.wal.flush_count == flushes
+    assert db.timestamps.reserved_up_to == 8
+    db.close()
+    assert [r.reserved_up_to for r in read_records(db.wal.path) if r.kind == KIND_TS_RESERVE] == [4, 8]
 
 
 def test_failed_fsync_fails_its_batch_and_stops_the_log(tmp_path, monkeypatch):
@@ -382,7 +591,7 @@ def test_failed_fsync_fails_its_batch_and_stops_the_log(tmp_path, monkeypatch):
     wal = WriteAheadLog(path)
     wal.append(WalRecord(KIND_ABORT, 1)).wait()
     in_batch = [wal.append(WalRecord(KIND_ABORT, i)) for i in (2, 3)]
-    fsync = _BlockingFsync(monkeypatch, fail=True)
+    sync = _BlockingSync(monkeypatch, fail=True)
     errors = []
 
     def wait(ack):
@@ -394,8 +603,8 @@ def test_failed_fsync_fails_its_batch_and_stops_the_log(tmp_path, monkeypatch):
     waiters = [threading.Thread(target=wait, args=(ack,)) for ack in in_batch]
     for t in waiters:
         t.start()
-    assert fsync.entered.wait(2.0)
-    fsync.release.set()
+    assert sync.entered.wait(2.0)
+    sync.release.set()
     _join(*waiters)
     assert len(errors) == 2 and errors[0] is errors[1] is wal.error
     assert wal.flush_count == 1
@@ -413,26 +622,28 @@ def test_failed_fsync_fails_its_batch_and_stops_the_log(tmp_path, monkeypatch):
     assert path.stat().st_size == size  # nothing written after the failure
 
 
-def test_torn_write_stops_the_log_and_recovers_to_the_last_whole_record(tmp_path):
-    path = tmp_path / "x.wal"
-    wal = WriteAheadLog(path)
-    wal.append(WalRecord(KIND_COMMIT, 1, 2, (b"a",))).wait()
-    wal._file = _TornFile(wal._file, keep=5)
-    ack = wal.append(WalRecord(KIND_COMMIT, 3, 4, (b"b",)))
-    with pytest.raises(WalError):
-        ack.wait()
-    with pytest.raises(WalError):
-        wal.append(WalRecord(KIND_ABORT, 5))
-    assert [r.start_ts for r in read_records(path)] == [1]
-    reopened = WriteAheadLog(path)
-    reopened.append(WalRecord(KIND_ABORT, 6)).wait()
-    reopened.close()
-    assert [r.start_ts for r in read_records(path)] == [1, 6]
+def test_torn_write_stops_the_log_and_recovers_to_the_last_whole_record(tmp_path, monkeypatch):
+    for keep in (5, HEADER_SIZE + 3):  # a cut header, then a cut body
+        path = tmp_path / f"x{keep}.wal"
+        wal = WriteAheadLog(path)
+        wal.append(WalRecord(KIND_COMMIT, 1, 2, (b"a",))).wait()
+        _TornPwrite(monkeypatch, keep)
+        ack = wal.append(WalRecord(KIND_COMMIT, 3, 4, (b"b",)))
+        with pytest.raises(WalError):
+            ack.wait()
+        with pytest.raises(WalError):
+            wal.append(WalRecord(KIND_ABORT, 5))
+        monkeypatch.undo()
+        assert [r.start_ts for r in read_records(path)] == [1]
+        reopened = WriteAheadLog(path)
+        reopened.append(WalRecord(KIND_ABORT, 6)).wait()
+        reopened.close()
+        assert [r.start_ts for r in read_records(path)] == [1, 6]
 
 
 def test_failed_reservation_reaches_begin_as_the_log_error(tmp_path, monkeypatch):
     db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"), block_size=1)
-    monkeypatch.setattr(wal_module.os, "fsync", _failing_fsync)
+    monkeypatch.setattr(wal_module.os, "fdatasync", _failing_sync)
     with pytest.raises(WalError) as raised:
         db.begin()  # its block's reservation cannot be made durable
     assert raised.value is db.wal.error
@@ -446,7 +657,7 @@ def test_failed_log_stops_the_engine_without_changing_the_table(tmp_path, monkey
     later.write(b"y", b"2")
     rival.read(b"x")  # conflicts with doomed's commit: the abort path
     rival.write(b"w", b"3")
-    monkeypatch.setattr(wal_module.os, "fsync", _failing_fsync)
+    monkeypatch.setattr(wal_module.os, "fdatasync", _failing_sync)
     with pytest.raises(WalError):
         doomed.commit()
     assert doomed.state is HandleState.ACTIVE
