@@ -15,9 +15,11 @@ median and quartiles, the ratio of the medians (change / base), how many
 pairs the change won, whether the claim rule holds (the change wins at least
 nine pairs in ten and its median beats the base's by more than the base's
 interquartile range), and whether the change's median is worse than the
-base's by more than the metric's bound. `--out` writes the runs and that
-summary as JSON under the workload's name; an existing file keeps its other
-workloads, so one file can collect several invocations.
+base's by more than the metric's bound. It also prints each tree's
+`src_lines`, the line count of `src/wsikv/*.py` as `wc -l` gives it.
+`--out` writes the runs, that summary and `src_lines` as JSON under the
+workload's name; an existing file keeps its other workloads, so one file can
+collect several invocations.
 """
 
 from __future__ import annotations
@@ -93,6 +95,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return result
 
 
+def src_lines(tree: Path) -> int:
+    """Total line count of the library's modules in `tree` (`wc -l src/wsikv/*.py`)."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "wsikv").glob("*.py"))
+
+
 def export(rev: str, into: Path) -> str:
     """Extract `rev` into `into` and return its full commit id."""
     sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
@@ -118,6 +125,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         sha = export(args.base, Path(tmp))
         trees = {"base": Path(tmp), "change": ROOT}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         for i in range(args.pairs):
             seed = args.seed_start + i
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -133,6 +141,7 @@ def main() -> int:
 
     summary = summarize(metric_values(base_runs), metric_values(change_runs), declared)
     print(f"{args.workload}: {args.pairs} pairs, base {sha[:12]} against the working tree")
+    print(f"src_lines: base {lines['base']}, change {lines['change']}")
     print(f"{'metric':<14} {'base q1/median/q3':>30} {'change q1/median/q3':>30} {'ratio':>6} "
           f"{'wins':>6} claim bound")
     for name, s in summary.items():
@@ -153,6 +162,7 @@ def main() -> int:
             "base_runs": metric_values(base_runs),
             "change_runs": metric_values(change_runs),
             "summary": summary,
+            "src_lines": lines,
         }
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

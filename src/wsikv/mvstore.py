@@ -1,32 +1,36 @@
 """Embedded multi-version key-value store.
 
-A transaction's writes wait as tentative versions, keyed by the writer's
-start timestamp, until the oracle decides it. On commit the oracle installs
-them inside its critical section: each version is stamped with its commit
-timestamp and appended to its row's committed list, which therefore stays
-ascending by commit timestamp. Start timestamps are drawn in that same
-critical section, so a reader never starts while a commit is half installed.
-On abort the oracle purges the writer's versions in the same critical
-section, so they never reach a committed list. A transaction always sees its
-own writes.
+A transaction's writes wait as tentative versions in a map of its own, keyed
+by the writer's start timestamp, until the oracle decides it. Only the
+writer's thread adds to that map, and without a lock; the oracle pops the
+whole map in the writer's decision, while the writer waits for it. On commit
+the oracle installs the versions inside its critical section: each is stamped
+with its commit timestamp and appended to its row's committed list, which
+therefore stays ascending by commit timestamp. Start timestamps are drawn in
+that same critical section, so a reader never starts while a commit is half
+installed. On abort the oracle drops the writer's map, so its versions never
+reach a committed list. A transaction always sees its own writes.
 
 A snapshot read returns the reader's own write, else the row's newest
 committed version when it committed before the reader started, and takes the
 lock only to bisect the list by the reader's start otherwise. The lock-free
 path is safe because:
 
-(a) a committed list is never replaced, only appended to by `install`, in
-    commit order under the oracle lock, so every version installed after a
-    reader starts has a larger commit timestamp than the reader's start and
-    a newest version below it is the newest the reader can see;
+(a) a row's committed list is created by `install`, under the store lock,
+    already holding its first version, and is never replaced; `install`
+    appends to it in commit order under the oracle lock, so every version
+    installed after a reader starts has a larger commit timestamp than the
+    reader's start and a newest version below it is the newest the reader
+    can see;
 (b) `compact` only cuts the front of a list in place and always keeps its
-    newest element, so a list once non-empty stays so and its last element
-    is always the newest version installed;
-(c) a single `dict.get` or `list[-1]` is atomic in CPython.
+    newest element, so a list is never empty and its last element is always
+    the newest version installed;
+(c) a single `dict.get`, dict store or pop, or `list[-1]` is atomic in
+    CPython.
 
-A reader's own tentative writes change only on its own thread, until its
-decision. Bisecting indexes the list, which `compact` shifts, so it holds the
-lock.
+Rows are added to the committed map only under the store lock, so `compact`,
+`versions` and `rows` can walk it there. Bisecting indexes the list, which
+`compact` shifts, so it holds the lock.
 """
 
 from __future__ import annotations
@@ -45,32 +49,41 @@ class CellVersion(NamedTuple):
 
 class VersionedStore:
     def __init__(self):
-        # per row, (commit ts, writer start ts, value) in commit order; a list is only
-        # appended to or cut in place, never replaced, so tentative writes keep a reference
+        # per row, (commit ts, writer start ts, value) in commit order
         self._committed: dict[bytes, list[tuple[int, int, bytes]]] = {}
-        # writer start ts -> row -> (the row's committed list, tentative value)
-        self._tentative: dict[int, dict[bytes, tuple[list, bytes]]] = {}
+        # writer start ts -> row -> tentative value
+        self._tentative: dict[int, dict[bytes, bytes]] = {}
         self._lock = threading.Lock()
 
     def put_tentative(self, row: bytes, writer_start_ts: int, value: bytes) -> None:
-        """Write (row, writer) tentatively; a rewrite by the same transaction wins."""
-        with self._lock:
-            versions = self._committed.setdefault(row, [])
-            self._tentative.setdefault(writer_start_ts, {})[row] = (versions, value)
+        """Write (row, writer) tentatively; a rewrite by the same transaction wins.
+        Only the writer's own thread calls this, before its decision."""
+        mine = self._tentative.get(writer_start_ts)
+        if mine is None:
+            mine = self._tentative[writer_start_ts] = {}
+        mine[row] = value
 
     def install(self, writer_start_ts: int, commit_ts: int) -> None:
         """Commit the writer's versions at commit_ts; the oracle calls this in commit order."""
+        mine = self._tentative.pop(writer_start_ts, None)
+        if not mine:
+            return
+        committed = self._committed
         with self._lock:
-            for row, (versions, value) in self._tentative.pop(writer_start_ts, {}).items():
-                versions.append((commit_ts, writer_start_ts, value))
+            for row, value in mine.items():
+                versions = committed.get(row)
+                if versions is None:  # enters the map holding its first version
+                    committed[row] = [(commit_ts, writer_start_ts, value)]
+                else:
+                    versions.append((commit_ts, writer_start_ts, value))
 
     def snapshot_read(self, row: bytes, reader_start_ts: int) -> bytes | None:
         """The reader's own write, else the value committed latest before its start."""
         mine = self._tentative.get(reader_start_ts)
         if mine is not None and row in mine:
-            return mine[row][1]
+            return mine[row]
         versions = self._committed.get(row)
-        if not versions:
+        if versions is None:
             return None
         newest = versions[-1]
         if newest[0] < reader_start_ts:
@@ -82,8 +95,7 @@ class VersionedStore:
     def purge_aborted(self, writer_start_ts: int) -> None:
         """Drop every tentative version of a writer; the oracle calls this when
         it decides an abort. No-op for a writer that wrote nothing."""
-        with self._lock:
-            self._tentative.pop(writer_start_ts, None)
+        self._tentative.pop(writer_start_ts, None)
 
     def compact(self, low_watermark: int) -> None:
         """Maintenance GC: of each row's versions committed strictly below the
@@ -107,4 +119,4 @@ class VersionedStore:
     def rows(self) -> list[bytes]:
         """Rows holding at least one committed version."""
         with self._lock:
-            return sorted(row for row, versions in self._committed.items() if versions)
+            return sorted(self._committed)

@@ -26,6 +26,7 @@ import itertools
 import logging
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .timestamps import TimestampOracle
 from .wal import KIND_ABORT, KIND_COMMIT, WalRecord
@@ -71,8 +72,7 @@ class TxnStatus:
     commit_ts: int | None = None
 
 
-@dataclass(frozen=True)
-class CommitDecision:
+class CommitDecision(NamedTuple):
     committed: bool
     commit_ts: int | None = None
     cause: str | None = None  # why an abort happened; None on commit
@@ -115,10 +115,10 @@ class CommitTable:
             last[row] = commit_ts
         excess = len(last) - self.capacity
         if excess > 0:
-            victims = list(itertools.islice(last.items(), excess))
-            for row, _ in victims:
+            victims = list(itertools.islice(last, excess))
+            self.t_max = max(self.t_max, last[victims[-1]])
+            for row in victims:
                 del last[row]
-            self.t_max = max(self.t_max, victims[-1][1])
 
     def record_abort(self, start_ts: int) -> None:
         self.aborted.add(start_ts)
@@ -176,17 +176,24 @@ class StatusOracle:
             return min(self._active) if self._active else self.timestamps.last_issued() + 1
 
     def submit(self, start_ts: int, write_set, read_set=()) -> CommitDecision:
-        """Decide a commit request; the read set is checked only under WSI."""
-        write_set = frozenset(write_set)
-        read_set = frozenset(read_set)
-        wsi = self.policy is IsolationPolicy.WSI
-        if wsi and not write_set and read_set:
-            log.warning(
-                "read-only commit request %d carried %d read rows; "
-                "clients should send empty sets",
-                start_ts,
-                len(read_set),
-            )
+        """Decide a commit request; the read set is checked only under WSI.
+
+        Each set is sorted once, before the lock is taken: abort
+        classification must not depend on set order, and a commit applies
+        and logs its rows in that order."""
+        writes = tuple(sorted(set(write_set)))
+        if self.policy is IsolationPolicy.WSI:
+            checked = sorted(set(read_set))
+            if not writes and checked:  # WSI read-only requests skip the check
+                log.warning(
+                    "read-only commit request %d carried %d read rows; "
+                    "clients should send empty sets",
+                    start_ts,
+                    len(checked),
+                )
+                checked = ()
+        else:
+            checked = writes
         ack = None
         with self._lock:
             table = self.table
@@ -195,29 +202,26 @@ class StatusOracle:
                     f"transaction {start_ts} already has a decision"
                 )
             cause = None
-            if write_set or not wsi:  # WSI read-only requests skip the check
-                # sorted scan: abort classification must not depend on set order
-                for row in sorted(read_set if wsi else write_set):
-                    last = table.last_commit.get(row)
-                    if last is not None:
-                        if last > start_ts:
-                            cause = "conflict"
-                            break
-                    elif table.t_max > start_ts:
-                        cause = "pessimistic"
+            for row in checked:
+                last = table.last_commit.get(row)
+                if last is not None:
+                    if last > start_ts:
+                        cause = "conflict"
                         break
+                elif table.t_max > start_ts:
+                    cause = "pessimistic"
+                    break
             if cause is None:
-                decision, ack = self._commit_locked(start_ts, write_set)
+                tc, ack = self._commit_locked(start_ts, writes)
             else:
                 ack = self._abort_locked(start_ts)
                 if cause == "pessimistic":
                     self.pessimistic_aborts += 1
                 else:
                     self.conflict_aborts += 1
-                decision = CommitDecision(False, cause=cause)
         if ack is not None:
             ack.wait()  # write-ahead discipline: durable before observable
-        return decision
+        return CommitDecision(True, tc) if cause is None else CommitDecision(False, cause=cause)
 
     # -- status --------------------------------------------------------------
 
@@ -249,10 +253,10 @@ class StatusOracle:
 
     # -- internals -----------------------------------------------------------
 
-    def _commit_locked(self, start_ts: int, write_set: frozenset):
+    def _commit_locked(self, start_ts: int, rows: tuple[RowId, ...]):
+        """Commit with `rows`, the sorted write set; returns (commit ts, ack)."""
         tc = self.timestamps.next()
-        if write_set:
-            rows = tuple(sorted(write_set))
+        if rows:
             ack = self._append(KIND_COMMIT, start_ts, tc, rows)
             self.table.apply_commit(start_ts, tc, rows)
             if self.store is not None:
@@ -263,7 +267,7 @@ class StatusOracle:
             self.read_only_commits += 1
         self._active.discard(start_ts)
         self.committed_count += 1
-        return CommitDecision(True, tc), ack
+        return tc, ack
 
     def _abort_locked(self, start_ts: int):
         ack = self._append(KIND_ABORT, start_ts)

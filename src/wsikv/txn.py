@@ -57,7 +57,8 @@ class Transaction:
         self.write_set.add(row)
 
     def commit(self) -> CommitDecision:
-        self._check_active()
+        if self.state is not HandleState.ACTIVE:
+            self._check_active()
         return self._db._commit(self)
 
     def abort(self) -> None:

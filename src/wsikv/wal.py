@@ -41,6 +41,7 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 MAGIC = b"WSIWAL02"
 CHUNK_SIZE = 1 << 20  # the file grows in zero-filled chunks of this size
@@ -76,8 +77,7 @@ class CorruptLogError(WalError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class WalRecord:
+class WalRecord(NamedTuple):
     kind: int
     start_ts: int = 0
     commit_ts: int = 0

@@ -129,6 +129,18 @@ def test_bench_oracle_rejects_zero_clients(capsys):
     assert captured.out.strip().splitlines() == [BENCH_CSV_HEADER]  # no data row
 
 
+@pytest.mark.parametrize(
+    "sizes, name",
+    [(["--rows-per-txn", "-1"], "rows_per_txn"), (["--keys", "0", "--rows-per-txn", "5"], "key_space")],
+)
+def test_bench_oracle_rejects_nonsense_sizes(capsys, sizes, name):
+    code = main(["bench-oracle", "--policy", "si", "--requests", "10", *sizes])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert name in captured.err
+    assert captured.out.strip().splitlines() == [BENCH_CSV_HEADER]  # no data row
+
+
 def test_bench_oracle_emits_row(capsys):
     code = main(
         [

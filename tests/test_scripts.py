@@ -116,3 +116,15 @@ def test_bench_pairs_claim_needs_nine_wins_in_ten_and_a_gain_beyond_the_base_spr
     s = summarize(base, change, DECLARED)
     assert s["txn_per_s"]["wins"] == 8 and not s["txn_per_s"]["claim_holds"]
     assert not s["txn_per_s"]["worse_than_bound"]
+
+
+def test_bench_pairs_counts_library_lines_like_wc(tmp_path):
+    src_lines = load_bench_pairs().src_lines
+    lib = tmp_path / "src" / "wsikv"
+    lib.mkdir(parents=True)
+    (lib / "a.py").write_text("one\ntwo\n")
+    (lib / "b.py").write_text("three\nno newline at the end")  # wc -l counts newlines
+    (lib / "notes.txt").write_text("not\ncounted\n")
+    (lib / "sub").mkdir()
+    (lib / "sub" / "c.py").write_text("outside the glob\n")
+    assert src_lines(tmp_path) == 3

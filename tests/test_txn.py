@@ -544,3 +544,78 @@ def test_concurrent_snapshot_reads_return_the_newest_version_below_the_start():
         if value != expected:
             wrong.append((start, row, value, expected))
     assert wrong == [], f"{len(wrong)} of {len(reads)} reads wrong, first {wrong[0]}"
+
+
+def test_rows_created_while_gc_runs_are_read_whole_or_not_at_all():
+    # Every write goes to a row no one has written before, so each commit
+    # creates rows while a gc() loop walks the store and readers read the
+    # rows that the writers are creating. Each row has at most one writer, so
+    # a read must return that writer's value when it committed below the
+    # reader's start and None otherwise; an aborted writer's rows never exist.
+    db = Database(WSI)
+    made = [0, 0]  # per writer, how many rows it has started to write
+    created = {}  # row -> (commit ts, value), from the writers' own decisions
+    reads = []  # (reader start ts, row, value read)
+    deadline = time.monotonic() + 1.0
+
+    def writer(wid):
+        k = 0
+        while time.monotonic() < deadline:
+            h = db.begin()
+            batch = [(b"w%d-%d" % (wid, i), b"v%d-%d" % (wid, i)) for i in range(k, k + 4)]
+            k += 4
+            made[wid] = k
+            for row, value in batch:
+                h.write(row, value)
+            if k % 20 == 0:
+                h.abort()
+                continue
+            d = h.commit()
+            assert d.committed  # no one else writes these rows
+            for row, value in batch:
+                created[row] = (d.commit_ts, value)
+
+    def reader(rid):
+        rng = random.Random(rid)
+        while time.monotonic() < deadline:
+            h = db.begin()
+            for _ in range(64):  # mostly the rows of the writers' current batches
+                wid = rng.randrange(len(made))
+                row = b"w%d-%d" % (wid, max(0, made[wid] - rng.randrange(1, 5)))
+                reads.append((h.start_ts, row, h.read(row)))
+            assert h.commit().committed
+
+    def collect(_):
+        while time.monotonic() < deadline:
+            db.gc()
+
+    errors = []
+
+    def guarded(body, arg):
+        try:
+            body(arg)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    bodies = [(writer, 0), (writer, 1), (reader, 0), (reader, 1), (collect, 0)]
+    workers = [threading.Thread(target=guarded, args=body) for body in bodies]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in workers)
+    assert errors == []
+    assert len(created) > 100 and len(reads) > 1000
+    wrong = []
+    for start, row, value in reads:
+        tc, committed = created.get(row, (start, None))  # never committed: absent
+        expected = committed if tc < start else None
+        if value != expected:
+            wrong.append((start, row, value, expected))
+    assert wrong == [], f"{len(wrong)} of {len(reads)} reads wrong, first {wrong[0]}"
+    assert set(db.store.rows()) == set(created)  # aborted writers created no row

@@ -205,6 +205,16 @@ def test_bench_oracle_rejects_fewer_than_one_client():
         bench_oracle(WSI, clients=0, requests=10, rows_per_txn=4)
 
 
+def test_bench_oracle_rejects_negative_rows_per_txn():
+    with pytest.raises(ValueError, match="rows_per_txn"):
+        bench_oracle(WSI, clients=1, requests=10, rows_per_txn=-1)
+
+
+def test_bench_oracle_rejects_an_empty_key_space():
+    with pytest.raises(ValueError, match="key_space"):
+        bench_oracle(WSI, clients=1, requests=10, rows_per_txn=5, key_space=0)
+
+
 def test_bench_oracle_reports_decisions_and_latency():
     result = bench_oracle(WSI, clients=2, requests=2000, rows_per_txn=4, key_space=64, seed=5)
     assert result.committed + result.aborted == 2000
