@@ -142,16 +142,16 @@ def cmd_replay(args) -> int:
 
 def cmd_bench_oracle(args) -> int:
     print(BENCH_CSV_HEADER)
+    result = bench_oracle(  # validates the sizes even when there is nothing to run
+        args.policy,
+        args.clients,
+        args.requests,
+        args.rows_per_txn,
+        key_space=args.keys,
+        capacity=args.capacity,
+        seed=args.seed,
+    )
     if args.requests > 0:
-        result = bench_oracle(
-            args.policy,
-            args.clients,
-            args.requests,
-            args.rows_per_txn,
-            key_space=args.keys,
-            capacity=args.capacity,
-            seed=args.seed,
-        )
         print(result.csv_row())
     return EXIT_OK
 

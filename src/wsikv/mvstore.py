@@ -4,9 +4,11 @@ A transaction's writes wait as tentative versions in a map of its own, keyed
 by the writer's start timestamp, until the oracle decides it. Only the
 writer's thread adds to that map, and without a lock; the oracle pops the
 whole map in the writer's decision, while the writer waits for it. On commit
-the oracle installs the versions inside its critical section: each is stamped
-with its commit timestamp and appended to its row's committed list, which
-therefore stays ascending by commit timestamp. Start timestamps are drawn in
+the oracle installs the versions inside its critical section: each becomes a
+(commit timestamp, value) pair appended to its row's committed list, which
+therefore stays ascending by commit timestamp. The store decides which version
+a reader sees; the commit timestamp alone names a version's writer, since no
+two transactions commit at the same timestamp. Start timestamps are drawn in
 that same critical section, so a reader never starts while a commit is half
 installed. On abort the oracle drops the writer's map, so its versions never
 reach a committed list. A transaction always sees its own writes.
@@ -42,15 +44,14 @@ from typing import NamedTuple
 
 class CellVersion(NamedTuple):
     row: bytes
-    writer_start_ts: int
     value: bytes
     commit_ts: int
 
 
 class VersionedStore:
     def __init__(self):
-        # per row, (commit ts, writer start ts, value) in commit order
-        self._committed: dict[bytes, list[tuple[int, int, bytes]]] = {}
+        # per row, (commit ts, value) in commit order
+        self._committed: dict[bytes, list[tuple[int, bytes]]] = {}
         # writer start ts -> row -> tentative value
         self._tentative: dict[int, dict[bytes, bytes]] = {}
         self._lock = threading.Lock()
@@ -73,9 +74,9 @@ class VersionedStore:
             for row, value in mine.items():
                 versions = committed.get(row)
                 if versions is None:  # enters the map holding its first version
-                    committed[row] = [(commit_ts, writer_start_ts, value)]
+                    committed[row] = [(commit_ts, value)]
                 else:
-                    versions.append((commit_ts, writer_start_ts, value))
+                    versions.append((commit_ts, value))
 
     def snapshot_read(self, row: bytes, reader_start_ts: int) -> bytes | None:
         """The reader's own write, else the value committed latest before its start."""
@@ -87,10 +88,10 @@ class VersionedStore:
             return None
         newest = versions[-1]
         if newest[0] < reader_start_ts:
-            return newest[2]
+            return newest[1]
         with self._lock:
             i = bisect.bisect_left(versions, (reader_start_ts,))  # first at or after it
-            return versions[i - 1][2] if i else None
+            return versions[i - 1][1] if i else None
 
     def purge_aborted(self, writer_start_ts: int) -> None:
         """Drop every tentative version of a writer; the oracle calls this when
@@ -114,7 +115,7 @@ class VersionedStore:
         """Committed versions of a row, newest commit first."""
         with self._lock:
             committed = self._committed.get(row, ())
-            return [CellVersion(row, w, value, tc) for tc, w, value in reversed(committed)]
+            return [CellVersion(row, value, tc) for tc, value in reversed(committed)]
 
     def rows(self) -> list[bytes]:
         """Rows holding at least one committed version."""

@@ -1,15 +1,14 @@
 """Status oracle: conflict detection, commit timestamps, transaction outcomes.
 
-Every commit request goes through `StatusOracle.submit` with row-identifier
-sets. Under snapshot isolation the write set is checked against the last
-committer of each row; under write-snapshot isolation the read set is
-checked instead and read-only requests (empty write set) commit without any
-checking. A bounded table tracks only the most recently committed rows and
-keeps a watermark t_max, the largest commit timestamp ever evicted: a
-request touching an untracked row pessimistically aborts when its start
-timestamp is below the watermark. An abort decision names its cause:
-"conflict" or "pessimistic" from the oracle, "client" for an abort the
-client asked for.
+Every commit request goes through `StatusOracle.submit` with both of its
+row-identifier sets, and the oracle alone applies the isolation policy.
+Under snapshot isolation the write set is checked against the last committer
+of each row; under write-snapshot isolation the read set is checked instead.
+A request with an empty write set commits unchecked under either. A bounded
+table tracks only the most recently committed rows and keeps a watermark
+t_max, the largest commit timestamp ever evicted: a request touching an
+untracked row pessimistically aborts when its start timestamp is below the
+watermark. An abort decision names its cause, "conflict" or "pessimistic".
 
 The oracle owns the transaction lifecycle. Start timestamps are drawn in the
 critical section that decides a commit and installs its versions in the
@@ -23,15 +22,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-import logging
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .timestamps import TimestampOracle
 from .wal import KIND_ABORT, KIND_COMMIT, WalRecord
-
-log = logging.getLogger(__name__)
 
 RowId = bytes
 
@@ -88,7 +84,10 @@ class CommitTable:
     smallest commit timestamps and folds them into t_max, so t_max is exactly
     the boundary below which per-row information has been discarded.
     Commits arrive in ascending commit ts with sorted rows, so moving each
-    committed row to the end keeps last_commit in eviction order.
+    committed row to the end keeps last_commit in eviction order. A dict keeps
+    deleted entries at the front of its entry array, where every eviction
+    would walk them, so once the evictions since the last rebuild exceed the
+    capacity last_commit is copied afresh, in the same order.
     """
 
     def __init__(self, capacity: int | None = None):
@@ -99,6 +98,7 @@ class CommitTable:
         self.t_max = 0
         self.commit_records: dict[int, int] = {}
         self.aborted: set[int] = set()
+        self._evicted = 0  # evictions since last_commit was last rebuilt
 
     def decided(self, start_ts: int) -> bool:
         return start_ts in self.commit_records or start_ts in self.aborted
@@ -119,6 +119,10 @@ class CommitTable:
             self.t_max = max(self.t_max, last[victims[-1]])
             for row in victims:
                 del last[row]
+            self._evicted += excess
+            if self._evicted > self.capacity:
+                self.last_commit = dict(last)
+                self._evicted = 0
 
     def record_abort(self, start_ts: int) -> None:
         self.aborted.add(start_ts)
@@ -176,22 +180,16 @@ class StatusOracle:
             return min(self._active) if self._active else self.timestamps.last_issued() + 1
 
     def submit(self, start_ts: int, write_set, read_set=()) -> CommitDecision:
-        """Decide a commit request; the read set is checked only under WSI.
+        """Decide a commit request under the oracle's policy: SI checks the
+        write set, WSI the read set, and a request with no writes commits
+        unchecked under either.
 
-        Each set is sorted once, before the lock is taken: abort
+        A checked set is sorted once, before the lock is taken: abort
         classification must not depend on set order, and a commit applies
         and logs its rows in that order."""
         writes = tuple(sorted(set(write_set)))
-        if self.policy is IsolationPolicy.WSI:
+        if writes and self.policy is IsolationPolicy.WSI:
             checked = sorted(set(read_set))
-            if not writes and checked:  # WSI read-only requests skip the check
-                log.warning(
-                    "read-only commit request %d carried %d read rows; "
-                    "clients should send empty sets",
-                    start_ts,
-                    len(checked),
-                )
-                checked = ()
         else:
             checked = writes
         ack = None

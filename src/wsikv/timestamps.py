@@ -3,12 +3,13 @@
 One strictly increasing counter serves both transaction start and commit
 timestamps, so the two families are directly comparable. Issuance is covered
 by durable block reservations: no timestamp of a block is issued before the
-block's reservation is durable in the write-ahead log. The reservation of the
-next block is appended, without waiting, once half the current block is
-issued, and waited for only when issuance crosses into that block; by then a
-commit's flush has normally made it durable, so issuance seldom waits on the
-log. After a crash, issuance resumes above the highest persisted reservation,
-so an abandoned block is never reused.
+block's reservation is durable in the write-ahead log. The draw that enters a
+block is the only one that touches the log: it waits for that block's
+reservation and appends the next block's without waiting. By the time
+issuance reaches the next block a commit's flush has normally made it
+durable, so issuance seldom waits on the log, and a draw inside a block never
+does. After a crash, issuance resumes above the highest persisted
+reservation, so an abandoned block is never reused.
 """
 
 from __future__ import annotations
@@ -37,37 +38,26 @@ class TimestampOracle:
         self._next = start_after + 1
         self._reserved_up_to = start_after  # highest durable reservation
         self._pending = None  # (ack, high) of the next block's appended reservation
-        self._check_at = start_after + 1  # the next draw that enters a block or reserves ahead
 
     def next(self) -> int:
         """Issue the next timestamp. Entering a block waits for its reservation
-        to be durable; if the log fails to persist it, its error propagates and
-        no timestamp of that block is issued."""
+        to be durable and appends the next block's; if the log fails to persist
+        or append either, its error propagates and no timestamp of that block
+        is issued."""
         with self._lock:
             ts = self._next
-            if ts >= self._check_at:
-                self._advance(ts)
+            if ts > self._reserved_up_to:
+                ack, high = self._pending or self._reserve(self._reserved_up_to)
+                if ack is not None:
+                    ack.wait()
+                self._pending = self._reserve(high)
+                self._reserved_up_to = high
             self._next = ts + 1
             return ts
 
-    def _advance(self, ts: int) -> None:
-        """Enter the next block, or reserve it ahead; set the next draw to check at."""
-        if ts > self._reserved_up_to:
-            self._pending = self._pending or self._reserve()
-            ack, high = self._pending
-            if ack is not None:
-                ack.wait()
-            self._pending = None
-            self._reserved_up_to = high
-            # reserve ahead at the first draw after half the block is issued
-            half = high - self._block_size + 1 + (self._block_size + 1) // 2
-            self._check_at = half if self._wal is not None else high + 1
-        else:  # half the block is issued
-            self._pending = self._reserve()
-            self._check_at = self._reserved_up_to + 1
-
-    def _reserve(self):
-        high = self._reserved_up_to + self._block_size
+    def _reserve(self, after: int):
+        """Append the reservation of the block above `after`; (ack, its high end)."""
+        high = after + self._block_size
         if self._wal is None:
             return None, high
         return self._wal.append(WalRecord(kind=KIND_TS_RESERVE, reserved_up_to=high)), high

@@ -2,11 +2,11 @@
 
 A transaction reads from the snapshot fixed by its start timestamp, buffers
 writes as tentative versions, and tracks the row identifiers it actually read
-and wrote. Commit submits those sets to the status oracle: the write set only
-under snapshot isolation, both sets under write-snapshot isolation, and an
-empty pair when a write-snapshot transaction is read-only. The oracle draws
-start timestamps, installs committed versions in the store and discards
-aborted ones, so reads never consult it.
+and wrote. The handle talks to the status oracle itself: commit submits both
+sets, and the oracle alone decides which of them the policy checks; abort
+reports the abandonment. The oracle draws start timestamps, installs
+committed versions in the store and discards aborted ones, so reads never
+consult it. The database only wires the layers together.
 """
 
 from __future__ import annotations
@@ -59,11 +59,19 @@ class Transaction:
     def commit(self) -> CommitDecision:
         if self.state is not HandleState.ACTIVE:
             self._check_active()
-        return self._db._commit(self)
+        decision = self._db.oracle.submit(self.start_ts, self.write_set, self.read_set)
+        # on oracle/WAL failure the exception propagates and the handle stays ACTIVE
+        if decision.committed:
+            self.state = HandleState.COMMITTED
+            self.commit_ts = decision.commit_ts
+        else:
+            self.state = HandleState.ABORTED
+        return decision
 
     def abort(self) -> None:
         self._check_active()
-        self._db._abort(self)
+        self._db.oracle.report_abort(self.start_ts)
+        self.state = HandleState.ABORTED
 
     def _check_active(self) -> None:
         if self.state is not HandleState.ACTIVE:
@@ -86,7 +94,6 @@ class Database:
         wal=None,
         block_size: int = DEFAULT_BLOCK_SIZE,
     ):
-        self.policy = policy
         self.wal = wal
         records = wal.recovered if wal is not None else []
         table, highest = _wal.replay(records, capacity)
@@ -131,24 +138,3 @@ class Database:
     def close(self) -> None:
         if self.wal is not None:
             self.wal.close()
-
-    # -- handle callbacks ------------------------------------------------------
-
-    def _commit(self, h: Transaction) -> CommitDecision:
-        if self.policy is IsolationPolicy.WSI:
-            # read-only transactions submit an empty pair
-            read_set = h.read_set if h.write_set else frozenset()
-            decision = self.oracle.submit(h.start_ts, h.write_set, read_set)
-        else:
-            decision = self.oracle.submit(h.start_ts, h.write_set)
-        # on oracle/WAL failure the exception propagates and h stays ACTIVE
-        if decision.committed:
-            h.state = HandleState.COMMITTED
-            h.commit_ts = decision.commit_ts
-        else:
-            h.state = HandleState.ABORTED
-        return decision
-
-    def _abort(self, h: Transaction) -> None:
-        self.oracle.report_abort(h.start_ts)
-        h.state = HandleState.ABORTED

@@ -337,6 +337,8 @@ def bench_oracle(
     """Drive the status oracle directly with synthetic commit requests."""
     if clients < 1:
         raise ValueError("clients must be >= 1")
+    if requests < 0:
+        raise ValueError("requests must be >= 0")
     if rows_per_txn < 0:
         raise ValueError("rows_per_txn must be >= 0")
     if key_space < 1:

@@ -131,7 +131,15 @@ def test_bench_oracle_rejects_zero_clients(capsys):
 
 @pytest.mark.parametrize(
     "sizes, name",
-    [(["--rows-per-txn", "-1"], "rows_per_txn"), (["--keys", "0", "--rows-per-txn", "5"], "key_space")],
+    [
+        (["--rows-per-txn", "-1"], "rows_per_txn"),
+        (["--keys", "0", "--rows-per-txn", "5"], "key_space"),
+        # a later --requests wins; with nothing to run the sizes are still checked
+        (["--requests", "0", "--rows-per-txn", "-1"], "rows_per_txn"),
+        (["--requests", "0", "--keys", "0", "--rows-per-txn", "5"], "key_space"),
+        (["--requests", "0", "--clients", "0", "--rows-per-txn", "-1"], "clients"),
+        (["--requests", "-1"], "requests"),
+    ],
 )
 def test_bench_oracle_rejects_nonsense_sizes(capsys, sizes, name):
     code = main(["bench-oracle", "--policy", "si", "--requests", "10", *sizes])

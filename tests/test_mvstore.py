@@ -12,9 +12,7 @@ def test_rewrite_by_same_transaction_wins():
     store.put_tentative(b"x", 5, b"b")
     assert store.snapshot_read(b"x", 5) == b"b"
     store.install(5, 6)
-    assert [(v.writer_start_ts, v.value, v.commit_ts) for v in store.versions(b"x")] == [
-        (5, b"b", 6)
-    ]
+    assert [(v.value, v.commit_ts) for v in store.versions(b"x")] == [(b"b", 6)]
 
 
 def test_versions_are_ordered_newest_commit_first():
@@ -24,7 +22,7 @@ def test_versions_are_ordered_newest_commit_first():
     store.put_tentative(b"x", 7, b"c")
     store.install(7, 8)
     store.install(5, 9)
-    assert [(v.writer_start_ts, v.commit_ts) for v in store.versions(b"x")] == [(5, 9), (7, 8)]
+    assert [(v.value, v.commit_ts) for v in store.versions(b"x")] == [(b"a", 9), (b"c", 8)]
 
 
 def test_put_creates_unseen_row():
@@ -98,7 +96,7 @@ def test_purge_aborted_removes_version_and_preserves_reads():
     assert store.snapshot_read(b"y", 5) is None  # the whole write set at once
     assert store.snapshot_read(b"y", 7) == b"other"  # another writer's stays
     store.install(5, 10)  # a purged writer has nothing left to install
-    assert [v.writer_start_ts for v in store.versions(b"x")] == [1]
+    assert [v.commit_ts for v in store.versions(b"x")] == [2]
     assert store.rows() == [b"x"]
 
 

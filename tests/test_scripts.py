@@ -128,3 +128,30 @@ def test_bench_pairs_counts_library_lines_like_wc(tmp_path):
     (lib / "sub").mkdir()
     (lib / "sub" / "c.py").write_text("outside the glob\n")
     assert src_lines(tmp_path) == 3
+
+
+def test_bench_pairs_times_the_host_around_every_run_and_stores_the_rates(tmp_path, monkeypatch, capsys):
+    bench_pairs = load_bench_pairs()
+    assert bench_pairs.loop_rate(10_000) > 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    result = {"correct": True, "failed": 0, "metrics": {m["name"]: {"value": 1.0} for m in declared}}
+    runs = []
+
+    def fake_run(cmd, cwd, **kwargs):  # stands in for one perfbench run
+        runs.append(Path(cwd))
+        out = f'machine: {{"nproc": 2}}\n{json.dumps(result)}\n'
+        return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "subprocess", type("Stub", (), {"run": staticmethod(fake_run)}))
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--base", "HEAD", "--workload", "w", "--pairs", "3",
+                                      "--seconds", "1", "--seed-start", "1", "--out", str(out)])
+    assert bench_pairs.main() == 0
+    assert len(runs) == 6
+    rates = json.loads(out.read_text())["workloads"]["w"]["loop_rates"]
+    # one (before, after) pair of rates per run, per side
+    assert {side: len(pairs) for side, pairs in rates.items()} == {"base": 3, "change": 3}
+    assert all(len(pair) == 2 and min(pair) > 0 for pairs in rates.values() for pair in pairs)
+    printed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("loop_rate median:")]
+    assert len(printed) == 1 and "base " in printed[0] and "change " in printed[0]

@@ -1,3 +1,4 @@
+import shutil
 import threading
 
 import pytest
@@ -41,32 +42,36 @@ def test_block_serves_next_without_new_persistence(tmp_path, monkeypatch):
     append = wal.append
     monkeypatch.setattr(wal, "append", lambda rec: appended.append(rec.reserved_up_to) or append(rec))
     ts = TimestampOracle(wal, block_size=1000)
-    values = [ts.next() for _ in range(500)]
-    assert values[0] == 1
-    assert values[-1] == 500
-    assert appended == [1000] and wal.flush_count == 1  # waited for once
-    # half the block is issued: the next block's reservation is appended, not waited for
-    assert ts.next() == 501
-    assert appended == [1000, 2000] and wal.flush_count == 1
-    assert [ts.next() for _ in range(499)][-1] == 1000
+    # the first draw enters the block: it waits for that block's reservation
+    # and appends the next block's without waiting for it
+    assert ts.next() == 1
+    assert reservations(wal.path) == [1000]  # durable before 1 was issued
+    assert appended == [1000, 2000] and wal.flush_count == 1  # waited for once
+    assert ts.reserved_up_to == 1000
+    # draws inside the block touch no log
+    assert [ts.next() for _ in range(999)][-1] == 1000
     assert appended == [1000, 2000] and wal.flush_count == 1
     assert reservations(wal.path) == [1000]  # 2000 is buffered, not durable
     assert ts.reserved_up_to == 1000
     # the 1001st draw enters the next block: it waits for that reservation
     assert ts.next() == 1001
-    assert appended == [1000, 2000] and wal.flush_count == 2
-    assert reservations(wal.path) == [1000, 2000]
+    assert reservations(wal.path) == [1000, 2000]  # durable before 1001 was issued
+    assert appended == [1000, 2000, 3000] and wal.flush_count == 2
     assert ts.reserved_up_to == 2000
     wal.close()
-    assert reservations(wal.path) == [1000, 2000]
+    assert reservations(wal.path) == [1000, 2000, 3000]
 
 
 def test_block_size_one_persists_each_timestamp(tmp_path):
     wal = WriteAheadLog(tmp_path / "ts.wal")
     ts = TimestampOracle(wal, block_size=1)
-    assert [ts.next() for _ in range(5)] == [1, 2, 3, 4, 5]
+    for i in range(1, 6):
+        assert ts.next() == i
+        # i's own reservation is durable; i + 1's is appended, not yet waited for
+        assert reservations(wal.path) == list(range(1, i + 1))
+        assert wal.flush_count == i
     wal.close()
-    assert reservations(wal.path) == [1, 2, 3, 4, 5]
+    assert reservations(wal.path) == [1, 2, 3, 4, 5, 6]
 
 
 def test_recovery_resumes_above_highest_reservation(tmp_path):
@@ -75,16 +80,26 @@ def test_recovery_resumes_above_highest_reservation(tmp_path):
     ts = TimestampOracle(wal, block_size=1000)
     for _ in range(10):
         ts.next()  # crash mid-block: only 10 of 1000 issued
-    wal.close()
-    # independent check: replay the reservation records for the high mark
-    assert max(reservations(path)) == 1000
-    _, highest = recover(path)
+    # a crash now keeps only what is durable: the next block's reservation is
+    # still buffered, so recovery resumes above the first block
+    crashed = tmp_path / "crashed.wal"
+    shutil.copyfile(path, crashed)
+    assert reservations(crashed) == [1000]
+    _, highest = recover(crashed)
     assert highest == 1000
-    wal2 = WriteAheadLog(path)
-    ts2 = TimestampOracle(wal2, start_after=highest)
-    value = ts2.next()
+    wal2 = WriteAheadLog(crashed)
+    assert TimestampOracle(wal2, start_after=highest).next() == 1001
     wal2.close()
-    assert value >= 1001
+    # closing makes the reservation appended ahead durable, so recovery skips that block too
+    wal.close()
+    assert reservations(path) == [1000, 2000]
+    _, highest = recover(path)
+    assert highest == 2000
+    wal3 = WriteAheadLog(path)
+    ts3 = TimestampOracle(wal3, start_after=highest)
+    value = ts3.next()
+    wal3.close()
+    assert value == 2001
 
 
 class _FlakyWal:

@@ -168,10 +168,7 @@ def test_conflict_abort_purges_tentative_versions():
     assert not loser.commit().committed
     assert loser.state is HandleState.ABORTED
     assert db.store.snapshot_read(b"x", loser.start_ts) == b"v0"  # not its own b"stale"
-    assert [v.writer_start_ts for v in db.store.versions(b"x")] == [
-        winner.start_ts,
-        seed.writer_start_ts,
-    ]
+    assert [v.commit_ts for v in db.store.versions(b"x")] == [winner.commit_ts, seed.commit_ts]
 
 
 def test_report_abort_on_a_committed_transaction_keeps_its_versions():
@@ -182,7 +179,7 @@ def test_report_abort_on_a_committed_transaction_keeps_its_versions():
     with pytest.raises(AlreadyCommittedError):
         db.oracle.report_abort(h.start_ts)
     assert db.begin().read(b"x") == b"v"
-    assert [v.writer_start_ts for v in db.store.versions(b"x")] == [h.start_ts]
+    assert [v.commit_ts for v in db.store.versions(b"x")] == [h.commit_ts]
 
 
 def test_operations_on_finished_handles_raise():

@@ -560,14 +560,16 @@ def test_begin_proceeds_while_committers_wait_on_fsync(tmp_path, monkeypatch):
 
 def test_begin_inside_a_block_returns_while_a_sync_is_blocked(tmp_path, monkeypatch):
     db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"), block_size=4)
-    writer = db.begin()  # start 1: the block up to 4 is reserved and waited for
+    # start 1: the block up to 4 is reserved and waited for; 8 is appended ahead
+    writer = db.begin()
     writer.write(b"x", b"1")
     sync = _BlockingSync(monkeypatch)
-    committer = threading.Thread(target=writer.commit)  # commit 2: its flush blocks
+    # commit 2: its flush, which carries the reservation of 8, blocks
+    committer = threading.Thread(target=writer.commit)
     committer.start()
     assert sync.entered.wait(2.0)
     began = []
-    # start 3: half the block is issued, so this begin appends the next reservation
+    # start 3: inside the block, so this begin touches no log
     reader = threading.Thread(target=lambda: began.append(db.begin()))
     reader.start()
     reader.join(0.5)
@@ -577,13 +579,14 @@ def test_begin_inside_a_block_returns_while_a_sync_is_blocked(tmp_path, monkeypa
     assert returned, "begin inside a block waited for a sync in progress"
     assert db.timestamps.reserved_up_to == 4
     began[0].write(b"y", b"2")
-    assert began[0].commit().committed  # commit 4: its flush carries the reservation
+    assert began[0].commit().committed  # commit 4
     flushes = db.wal.flush_count
+    assert [r.reserved_up_to for r in read_records(db.wal.path) if r.kind == KIND_TS_RESERVE] == [4, 8]
     assert db.begin().start_ts == 5  # entering the next block waits for no flush
     assert db.wal.flush_count == flushes
     assert db.timestamps.reserved_up_to == 8
-    db.close()
-    assert [r.reserved_up_to for r in read_records(db.wal.path) if r.kind == KIND_TS_RESERVE] == [4, 8]
+    db.close()  # flushes 12, appended ahead when start 5 entered the block
+    assert [r.reserved_up_to for r in read_records(db.wal.path) if r.kind == KIND_TS_RESERVE] == [4, 8, 12]
 
 
 def test_failed_fsync_fails_its_batch_and_stops_the_log(tmp_path, monkeypatch):

@@ -205,6 +205,11 @@ def test_bench_oracle_rejects_fewer_than_one_client():
         bench_oracle(WSI, clients=0, requests=10, rows_per_txn=4)
 
 
+def test_bench_oracle_rejects_negative_requests():
+    with pytest.raises(ValueError, match="requests"):
+        bench_oracle(WSI, clients=1, requests=-1, rows_per_txn=4)
+
+
 def test_bench_oracle_rejects_negative_rows_per_txn():
     with pytest.raises(ValueError, match="rows_per_txn"):
         bench_oracle(WSI, clients=1, requests=10, rows_per_txn=-1)
