@@ -20,12 +20,6 @@ base's by more than the metric's bound. It also prints each tree's
 `--out` writes the runs, that summary and `src_lines` as JSON under the
 workload's name; an existing file keeps its other workloads, so one file can
 collect several invocations.
-
-Absolute numbers drift with the host's speed from day to day, so the script
-also times a fixed pure-Python loop (`loop_rate`) right before and right
-after every run. It prints each side's median loop rate and stores every
-run's pair of rates as `loop_rates`, so the medians of different files can be
-read against how fast the host was when each was taken.
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -85,22 +78,8 @@ def metric_values(runs: list[dict]) -> list[dict]:
     return [{name: m["value"] for name, m in r["metrics"].items()} for r in runs]
 
 
-LOOP_N = 1_000_000  # iterations of the calibration loop
-
-
-def loop_rate(n: int = LOOP_N) -> float:
-    """Iterations per second of a fixed pure-Python loop: the host's speed right now."""
-    t0 = time.perf_counter()
-    x = 0
-    for i in range(n):
-        x += i & 7
-    return n / (time.perf_counter() - t0)
-
-
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    """One untraced benchmark run in `tree`; its result JSON plus the machine
-    line and the loop rates timed just before and just after it."""
-    before = loop_rate()
+    """One untraced benchmark run in `tree`; its result JSON plus the machine line."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}  # each tree imports its own src
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -113,7 +92,6 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     result = json.loads(lines[-1])
     machine = next((line for line in lines if line.startswith("machine:")), "machine: {}")
     result["machine"] = json.loads(machine.split(":", 1)[1])
-    result["loop_rates"] = [before, loop_rate()]
     return result
 
 
@@ -164,9 +142,6 @@ def main() -> int:
     summary = summarize(metric_values(base_runs), metric_values(change_runs), declared)
     print(f"{args.workload}: {args.pairs} pairs, base {sha[:12]} against the working tree")
     print(f"src_lines: base {lines['base']}, change {lines['change']}")
-    rates = {"base": [r["loop_rates"] for r in base_runs], "change": [r["loop_rates"] for r in change_runs]}
-    medians = {side: statistics.median(x for pair in pairs for x in pair) for side, pairs in rates.items()}
-    print(f"loop_rate median: base {medians['base']:.4g}/s, change {medians['change']:.4g}/s")
     print(f"{'metric':<14} {'base q1/median/q3':>30} {'change q1/median/q3':>30} {'ratio':>6} "
           f"{'wins':>6} claim bound")
     for name, s in summary.items():
@@ -188,7 +163,6 @@ def main() -> int:
             "change_runs": metric_values(change_runs),
             "summary": summary,
             "src_lines": lines,
-            "loop_rates": rates,
         }
         args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

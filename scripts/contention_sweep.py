@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from wsikv.oracle import IsolationPolicy
-from wsikv.workload import CSV_HEADER, WorkloadSpec, run
+from wsikv.workload import CSV_HEADER, DISTRIBUTIONS, MIXES, WorkloadSpec, run
 
 
 def main() -> int:
@@ -20,11 +20,11 @@ def main() -> int:
     parser.add_argument("--txns", type=int, default=50_000)
     parser.add_argument("--clients", type=int, default=8)
     parser.add_argument("--seeds", type=int, default=5)
-    parser.add_argument("--mix", choices=("complex", "mixed"), default="mixed")
+    parser.add_argument("--mix", choices=MIXES, default="mixed")
     args = parser.parse_args()
 
     print(CSV_HEADER + ",seed")
-    for dist in ("uniform", "zipfian", "zipfian-latest"):
+    for dist in DISTRIBUTIONS:
         for policy in (IsolationPolicy.SI, IsolationPolicy.WSI):
             for seed in range(1, args.seeds + 1):
                 spec = WorkloadSpec(

@@ -26,8 +26,6 @@ from .oracle import (
     DuplicateRequestError,
     IsolationPolicy,
     StatusOracle,
-    TxnState,
-    TxnStatus,
 )
 from .timestamps import TimestampOracle
 from .txn import Database, HandleState, Transaction, TransactionStateError
@@ -54,8 +52,6 @@ __all__ = [
     "TimestampOracle",
     "Transaction",
     "TransactionStateError",
-    "TxnState",
-    "TxnStatus",
     "VersionedStore",
     "WalRecord",
     "WorkloadSpec",

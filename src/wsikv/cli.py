@@ -12,6 +12,8 @@ from .oracle import IsolationPolicy
 from .workload import (
     BENCH_CSV_HEADER,
     CSV_HEADER,
+    DISTRIBUTIONS,
+    MIXES,
     WorkloadSpec,
     bench_oracle,
     run as run_workload,
@@ -19,7 +21,6 @@ from .workload import (
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
-EXIT_USAGE = 2
 
 
 def _capacity(text: str) -> int | None:
@@ -48,12 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a workload and emit one CSV row")
     p_run.add_argument("--policy", type=_policy, required=True)
-    p_run.add_argument(
-        "--dist",
-        choices=("uniform", "zipfian", "zipfian-latest"),
-        default="uniform",
-    )
-    p_run.add_argument("--mix", choices=("complex", "mixed"), default="mixed")
+    p_run.add_argument("--dist", choices=DISTRIBUTIONS, default="uniform")
+    p_run.add_argument("--mix", choices=MIXES, default="mixed")
     p_run.add_argument("--clients", type=int, default=1)
     p_run.add_argument("--txns", type=int, default=10_000)
     p_run.add_argument("--keys", type=int, default=100_000)

@@ -25,6 +25,7 @@ from .oracle import CommitDecision, IsolationPolicy
 from .txn import Database
 
 INITIAL_WRITER = 0  # virtual transaction that installs every item's starting version
+SEARCH_LIMIT = 8  # most committed transactions is_serializable permutes
 
 _OP = re.compile(r"([rw])(\d+)\[([^\[\]=\s]+)(?:=([^\[\]=\s]+))?\]\Z")
 _TERMINAL = re.compile(r"([ca])(\d+)\Z")
@@ -66,9 +67,6 @@ class History:
 
     def committed_txns(self) -> list[int]:
         return sorted(ev.txn for ev in self.events if ev.kind == "c")
-
-    def aborted_txns(self) -> list[int]:
-        return sorted(ev.txn for ev in self.events if ev.kind == "a")
 
     def items(self) -> list[str]:
         out = []
@@ -190,6 +188,12 @@ class ObservedExecution:
     reads: dict[int, list[tuple[str, int]]]  # per txn: (item, writer id) in op order
     finals: dict[str, int]  # item -> writer id of the last committed version
 
+    def same_view(self, other: "ObservedExecution", txns, items) -> bool:
+        """Whether `txns` read the same writers and `items` end with the same writer."""
+        return all(self.reads.get(t, []) == other.reads.get(t, []) for t in txns) and all(
+            self.finals.get(i, INITIAL_WRITER) == other.finals.get(i, INITIAL_WRITER) for i in items
+        )
+
 
 def observe(events: list[HistoryEvent]) -> ObservedExecution:
     clock = 0
@@ -233,7 +237,7 @@ def _txn_blocks(h: History) -> dict[int, list[HistoryEvent]]:
     return {t: evs for t, evs in blocks.items() if evs[-1].kind == "c"}
 
 
-def is_serializable(h: History, limit: int = 8) -> SerializabilityVerdict:
+def is_serializable(h: History) -> SerializabilityVerdict:
     """Brute-force search for an equivalent serial order of the committed
     transactions; aborted transactions are excluded from both sides.
 
@@ -241,21 +245,16 @@ def is_serializable(h: History, limit: int = 8) -> SerializabilityVerdict:
     first witness is returned, so verdicts are deterministic.
     """
     committed = h.committed_txns()
-    if len(committed) > limit:
+    if len(committed) > SEARCH_LIMIT:
         raise TooManyTransactionsError(
-            f"{len(committed)} committed transactions exceed the search limit {limit}"
+            f"{len(committed)} committed transactions exceed the search limit {SEARCH_LIMIT}"
         )
     original = observe(h.events)
-    want_reads = {t: original.reads.get(t, []) for t in committed}
     items = h.items()
-    want_finals = {i: original.finals.get(i, INITIAL_WRITER) for i in items}
     blocks = _txn_blocks(h)
     for perm in itertools.permutations(committed):
-        serial_events = [ev for t in perm for ev in blocks[t]]
-        serial = observe(serial_events)
-        if all(serial.reads.get(t, []) == want_reads[t] for t in committed) and all(
-            serial.finals.get(i, INITIAL_WRITER) == want_finals[i] for i in items
-        ):
+        serial = observe([ev for t in perm for ev in blocks[t]])
+        if original.same_view(serial, committed, items):
             return SerializabilityVerdict(True, perm)
     return SerializabilityVerdict(False, None)
 
@@ -263,15 +262,8 @@ def is_serializable(h: History, limit: int = 8) -> SerializabilityVerdict:
 def view_equivalent(a: History, b: History) -> bool:
     """Same committed transactions, same per-transaction reads, same finals."""
     committed = a.committed_txns()
-    if committed != b.committed_txns():
-        return False
-    oa, ob = observe(a.events), observe(b.events)
-    if any(oa.reads.get(t, []) != ob.reads.get(t, []) for t in committed):
-        return False
-    items = sorted(set(a.items()) | set(b.items()))
-    return all(
-        oa.finals.get(i, INITIAL_WRITER) == ob.finals.get(i, INITIAL_WRITER)
-        for i in items
+    return committed == b.committed_txns() and observe(a.events).same_view(
+        observe(b.events), committed, set(a.items()) | set(b.items())
     )
 
 

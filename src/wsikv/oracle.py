@@ -9,6 +9,9 @@ table tracks only the most recently committed rows and keeps a watermark
 t_max, the largest commit timestamp ever evicted: a request touching an
 untracked row pessimistically aborts when its start timestamp is below the
 watermark. An abort decision names its cause, "conflict" or "pessimistic".
+The oracle answers no status queries: a client learns its outcome from the
+decision that `submit` returns, and readers never ask, because the store
+decides visibility.
 
 The oracle owns the transaction lifecycle. Start timestamps are drawn in the
 critical section that decides a commit and installs its versions in the
@@ -23,7 +26,6 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .timestamps import TimestampOracle
@@ -54,18 +56,6 @@ class IsolationPolicy(enum.Enum):
             return cls(s.lower())
         except ValueError:
             raise ValueError(f"unknown isolation policy {s!r}") from None
-
-
-class TxnState(enum.Enum):
-    COMMITTED = "committed"
-    ABORTED = "aborted"
-    IN_FLIGHT = "in-flight"
-
-
-@dataclass(frozen=True)
-class TxnStatus:
-    state: TxnState
-    commit_ts: int | None = None
 
 
 class CommitDecision(NamedTuple):
@@ -220,17 +210,6 @@ class StatusOracle:
         if ack is not None:
             ack.wait()  # write-ahead discipline: durable before observable
         return CommitDecision(True, tc) if cause is None else CommitDecision(False, cause=cause)
-
-    # -- status --------------------------------------------------------------
-
-    def query_status(self, start_ts: int) -> TxnStatus:
-        with self._lock:
-            tc = self.table.commit_records.get(start_ts)
-            if tc is not None:
-                return TxnStatus(TxnState.COMMITTED, tc)
-            if start_ts in self.table.aborted:
-                return TxnStatus(TxnState.ABORTED)
-            return TxnStatus(TxnState.IN_FLIGHT)
 
     def commit_ts_of(self, start_ts: int) -> int | None:
         # outcomes are write-once, so this read takes no lock

@@ -3,13 +3,17 @@
 One strictly increasing counter serves both transaction start and commit
 timestamps, so the two families are directly comparable. Issuance is covered
 by durable block reservations: no timestamp of a block is issued before the
-block's reservation is durable in the write-ahead log. The draw that enters a
-block is the only one that touches the log: it waits for that block's
-reservation and appends the next block's without waiting. By the time
-issuance reaches the next block a commit's flush has normally made it
-durable, so issuance seldom waits on the log, and a draw inside a block never
-does. After a crash, issuance resumes above the highest persisted
-reservation, so an abandoned block is never reused.
+block's reservation is durable in the write-ahead log. Creating the oracle
+makes the first block's reservation durable, before any caller holds a lock.
+After that the draw that enters a block is the only one that touches the
+log: it waits for that block's reservation and appends the next block's
+without waiting. By the time issuance reaches the next block a commit's
+flush has normally made it durable, so issuance seldom waits on the log, and
+a draw inside a block never does. A block of draws with no flush in between
+(a block's worth of begins before any decision) still waits for an
+fdatasync inside next(), under its caller's locks. After a crash, issuance
+resumes above the highest persisted reservation, so an abandoned block is
+never reused.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ class TimestampOracle:
         self._lock = threading.Lock()
         self._next = start_after + 1
         self._reserved_up_to = start_after  # highest durable reservation
-        self._pending = None  # (ack, high) of the next block's appended reservation
+        self._pending = self._reserve(start_after)  # (ack, high) of the next block's appended reservation
+        if self._pending[0] is not None:
+            self._pending[0].wait()  # the first block's: durable before any caller holds a lock
 
     def next(self) -> int:
         """Issue the next timestamp. Entering a block waits for its reservation
@@ -47,7 +53,7 @@ class TimestampOracle:
         with self._lock:
             ts = self._next
             if ts > self._reserved_up_to:
-                ack, high = self._pending or self._reserve(self._reserved_up_to)
+                ack, high = self._pending
                 if ack is not None:
                     ack.wait()
                 self._pending = self._reserve(high)

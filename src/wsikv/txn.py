@@ -102,9 +102,7 @@ class Database:
             wal=wal, block_size=block_size, start_after=highest
         )
         self.store = VersionedStore()
-        self.oracle = StatusOracle(
-            self.timestamps, policy, capacity=capacity, wal=wal, table=table, store=self.store
-        )
+        self.oracle = StatusOracle(self.timestamps, policy, wal=wal, table=table, store=self.store)
 
     @classmethod
     def recover(

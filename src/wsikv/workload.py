@@ -1,17 +1,17 @@
 """YCSB-style transactional workload generation and measurement.
 
-Two transaction shapes: read-only (all reads) and complex (each operation
-independently read or write at 50/50). A complex workload is all complex
-transactions; a mixed workload is half read-only, half complex. Every
-transaction touches n rows, n uniform on [0, 20], drawn with replacement
-from the configured key distribution.
+Two transaction shapes: read-only (all reads) and complex (each operation a
+read with probability READ_FRACTION = 0.5, else a write). A complex workload
+is all complex transactions; a mixed workload is half read-only, half
+complex. Every transaction touches n rows, n uniform on [0, OPS_PER_TXN_MAX],
+drawn with replacement from the configured key distribution.
 
-Key distributions follow the YCSB conventions: `uniform`; `zipfian`, a
-scrambled zipfian whose popular ranks are hashed across the whole key space
-(drawn over a large virtual universe, which spreads and flattens the skew);
-and `zipfian-latest`, a plain zipfian concentrated on the highest row ids,
-standing in for the most recently inserted rows. The latest distribution is
-therefore the sharpest and the most contended.
+Key distributions follow the YCSB conventions, with ZIPF_CONSTANT = 0.99:
+`uniform`; `zipfian`, a scrambled zipfian whose popular ranks are hashed
+across the whole key space (drawn over a large virtual universe, which
+spreads and flattens the skew); and `zipfian-latest`, a plain zipfian
+concentrated on the highest row ids, standing in for the most recently
+inserted rows, and so the sharpest and the most contended distribution.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ from .wal import WriteAheadLog
 
 MIXES = ("complex", "mixed")
 DISTRIBUTIONS = ("uniform", "zipfian", "zipfian-latest")
+ZIPF_CONSTANT = 0.99
+OPS_PER_TXN_MAX = 20  # rows a transaction touches, at most
+READ_FRACTION = 0.5
 
 CSV_HEADER = (
     "policy,distribution,mix,clients,committed,aborted,"
@@ -46,9 +49,6 @@ class WorkloadSpec:
     key_space: int
     mix: str = "mixed"
     distribution: str = "uniform"
-    zipf_constant: float = 0.99
-    ops_per_txn_max: int = 20
-    read_fraction: float = 0.5
     seed: int = 0
     txn_count: int = 10_000
     client_count: int = 1
@@ -60,10 +60,6 @@ class WorkloadSpec:
             raise ValueError(f"mix must be one of {MIXES}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
-        if not 0.0 < self.zipf_constant < 1.0:
-            raise ValueError("zipf_constant must be in (0, 1)")
-        if self.ops_per_txn_max < 0:
-            raise ValueError("ops_per_txn_max must be non-negative")
         if self.txn_count < 0 or self.client_count < 1:
             raise ValueError("txn_count must be >= 0 and client_count >= 1")
 
@@ -161,20 +157,20 @@ def make_distribution(spec: WorkloadSpec):
     if spec.distribution == "uniform":
         return UniformKeys(spec.key_space)
     if spec.distribution == "zipfian":
-        return ZipfianKeys(spec.key_space, spec.zipf_constant)
-    return ZipfianLatestKeys(spec.key_space, spec.zipf_constant)
+        return ZipfianKeys(spec.key_space, ZIPF_CONSTANT)
+    return ZipfianLatestKeys(spec.key_space, ZIPF_CONSTANT)
 
 
 def generate_txn(spec: WorkloadSpec, rng: random.Random, dist=None) -> list[tuple[str, bytes]]:
     """One transaction script: ("r"|"w", row-id bytes) pairs in execution order."""
     if dist is None:
         dist = make_distribution(spec)
-    n = rng.randint(0, spec.ops_per_txn_max)
+    n = rng.randint(0, OPS_PER_TXN_MAX)
     read_only = spec.mix == "mixed" and rng.random() < 0.5
     ops = []
     for _ in range(n):
         row = _ROW.pack(dist.next(rng))
-        if read_only or rng.random() < spec.read_fraction:
+        if read_only or rng.random() < READ_FRACTION:
             ops.append(("r", row))
         else:
             ops.append(("w", row))
@@ -221,14 +217,20 @@ def _drive(clients: int, total: int, worker) -> tuple[list, float]:
     Each thread calls worker(idx, share, ready): the worker prepares, calls
     ready() to wait for the others and then does its `share` of the work.
     The wall clock spans every thread from start to join, preparation
-    included. Returns (per-client worker results, wall seconds).
+    included. Returns (per-client worker results, wall seconds); the first
+    exception a worker raised is raised instead, once every thread has joined.
     """
     shares = [total // clients + (1 if i < total % clients else 0) for i in range(clients)]
     results = [None] * clients
+    errors = []
     barrier = threading.Barrier(clients)
 
     def body(idx: int) -> None:
-        results[idx] = worker(idx, shares[idx], barrier.wait)
+        try:
+            results[idx] = worker(idx, shares[idx], barrier.wait)
+        except Exception as exc:
+            errors.append(exc)
+            barrier.abort()  # a worker still waiting in ready() must not wait forever
 
     threads = [threading.Thread(target=body, args=(i,)) for i in range(clients)]
     t_start = time.perf_counter()
@@ -236,6 +238,8 @@ def _drive(clients: int, total: int, worker) -> tuple[list, float]:
         t.start()
     for t in threads:
         t.join()
+    if errors:
+        raise errors[0]
     return results, time.perf_counter() - t_start
 
 
@@ -283,14 +287,16 @@ def run(
                 db.gc()
         return m
 
-    results, wall = _drive(spec.client_count, spec.txn_count, worker)
+    try:
+        results, wall = _drive(spec.client_count, spec.txn_count, worker)
+    finally:
+        db.close()  # after a log failure this raises the log's error again
     metrics = RunMetrics(wall_seconds=wall, pessimistic_aborts=db.oracle.pessimistic_aborts)
     for m in results:
         metrics.committed += m.committed
         metrics.aborted += m.aborted
         metrics.read_only_committed += m.read_only_committed
         metrics.read_only_aborted += m.read_only_aborted
-    db.close()
     return metrics
 
 

@@ -24,7 +24,7 @@ from wsikv.history import (
     verdict_line,
     view_equivalent,
 )
-from wsikv.oracle import IsolationPolicy, StatusOracle, TxnState
+from wsikv.oracle import IsolationPolicy, StatusOracle
 from wsikv.timestamps import TimestampOracle
 from wsikv.txn import Database
 from wsikv.wal import WriteAheadLog, recover
@@ -430,8 +430,8 @@ def _run_anomaly_schedule(rng: random.Random, policy: IsolationPolicy):
         writer = writer_of[value]
         if writer in (0, t):
             continue
-        status = db.oracle.query_status(handles[writer].start_ts)
-        if status.state is not TxnState.COMMITTED or status.commit_ts >= handles[t].start_ts:
+        decision = finished[writer]  # every transaction commits, so each has its decision
+        if not decision.committed or decision.commit_ts >= handles[t].start_ts:
             anomalies.append(("dirty-read", t, row))
     # fuzzy reads: repeated reads before any own write must agree
     firsts = {}

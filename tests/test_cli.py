@@ -1,9 +1,11 @@
+import errno
 import struct
 import zlib
 from pathlib import Path
 
 import pytest
 
+from wsikv import wal as wal_module
 from wsikv.cli import main
 from wsikv.oracle import IsolationPolicy
 from wsikv.txn import Database
@@ -169,6 +171,24 @@ def test_bench_oracle_emits_row(capsys):
     assert code == 0
     assert out[0] == BENCH_CSV_HEADER
     assert out[1].startswith("wsi,2,")
+
+
+def test_run_reports_a_failed_log_flush_raised_in_a_client(tmp_path, monkeypatch, capsys):
+    calls = []
+    sync = wal_module.os.fdatasync
+
+    def failing_after_50(fd):
+        calls.append(fd)
+        if len(calls) > 50:
+            raise OSError(errno.EIO, "injected sync failure")
+        sync(fd)
+
+    monkeypatch.setattr(wal_module.os, "fdatasync", failing_after_50)
+    argv = ["run", "--policy", "wsi", "--clients", "2", "--txns", "2000", "--keys", "1000"]
+    assert main([*argv, "--wal", str(tmp_path / "db.wal")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: wal flush failed: ")
 
 
 def test_recover_prints_rebuilt_state(tmp_path, capsys):

@@ -17,7 +17,6 @@ from wsikv.oracle import (
     DuplicateRequestError,
     IsolationPolicy,
     StatusOracle,
-    TxnState,
 )
 from wsikv.timestamps import TimestampOracle
 
@@ -49,7 +48,7 @@ def test_si_write_write_conflict_aborts_later_committer():
     d1 = oracle.submit(1, {b"x"})  # lastCommit(x)=3 > 1
     assert (d1.committed, d1.cause) == (False, "conflict")
     assert d2.cause is None
-    assert oracle.query_status(1).state is TxnState.ABORTED
+    assert oracle.table.aborted == {1} and 1 not in oracle.table.commit_records
 
 
 def test_si_empty_write_set_always_commits():
@@ -224,25 +223,12 @@ def test_commit_request_after_conflict_abort_is_rejected():
         oracle.submit(1, set())
 
 
-def test_query_status_reflects_outcomes():
-    oracle, ts = make_oracle(WSI)
-    for _ in range(4):
-        ts.next()
-    decision = oracle.submit(1, {b"x"}, {b"x"})
-    status = oracle.query_status(1)
-    assert status.state is TxnState.COMMITTED
-    assert status.commit_ts == decision.commit_ts
-    assert oracle.query_status(999).state is TxnState.IN_FLIGHT
-    oracle.report_abort(4)
-    assert oracle.query_status(4).state is TxnState.ABORTED
-
-
 def test_report_abort_is_idempotent_and_respects_commits():
     oracle, ts = make_oracle(WSI)
     ts.next(), ts.next(), ts.next()
     oracle.report_abort(3)
     oracle.report_abort(3)
-    assert oracle.query_status(3).state is TxnState.ABORTED
+    assert oracle.table.aborted == {3}
     oracle.submit(1, {b"x"}, set())
     with pytest.raises(AlreadyCommittedError):
         oracle.report_abort(1)

@@ -121,12 +121,17 @@ class _FlakyWal:
 
 def test_failed_reservation_issues_nothing():
     wal = _FlakyWal()
-    ts = TimestampOracle(wal, block_size=100)
-    with pytest.raises(OSError, match="disk full"):  # the log's own error
-        ts.next()
+    with pytest.raises(OSError, match="disk full"):  # the first block's, at creation
+        TimestampOracle(wal, block_size=100)
     wal.fail = False
-    # the failed block was never persisted nor issued, so issuance restarts at 1
-    assert ts.next() == 1
+    ts = TimestampOracle(wal, block_size=100)
+    assert [ts.next() for _ in range(100)][-1] == 100
+    wal.fail = True
+    with pytest.raises(OSError, match="disk full"):  # the log's own error
+        ts.next()  # entering the second block appends the third's reservation
+    wal.fail = False
+    # no timestamp of the block was issued, so issuance resumes at its first
+    assert ts.next() == 101
 
 
 def test_block_size_must_be_positive():

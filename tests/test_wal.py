@@ -647,10 +647,32 @@ def test_torn_write_stops_the_log_and_recovers_to_the_last_whole_record(tmp_path
 def test_failed_reservation_reaches_begin_as_the_log_error(tmp_path, monkeypatch):
     db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"), block_size=1)
     monkeypatch.setattr(wal_module.os, "fdatasync", _failing_sync)
+    assert db.begin().start_ts == 1  # its block's reservation was made durable at open
     with pytest.raises(WalError) as raised:
-        db.begin()  # its block's reservation cannot be made durable
+        db.begin()  # the next block's reservation cannot be made durable
     assert raised.value is db.wal.error
-    assert db.timestamps.last_issued() == 0
+    assert db.timestamps.last_issued() == 1
+
+
+def test_first_begin_syncs_under_no_lock(tmp_path, monkeypatch):
+    path = tmp_path / "x.wal"
+    held = []  # per fdatasync: whether the open database's oracle or timestamp lock was held
+    opened = []
+    sync = os.fdatasync
+
+    def probe(fd):
+        held.extend(db.oracle._lock.locked() or db.timestamps._lock.locked() for db in opened)
+        sync(fd)
+
+    monkeypatch.setattr(wal_module.os, "fdatasync", probe)
+    for opening in (lambda: Database(WSI, wal=WriteAheadLog(path)), lambda: Database.recover(path)):
+        db = opening()
+        opened[:] = [db]
+        h = db.begin()
+        h.write(b"x", b"1")
+        assert h.commit().committed
+        db.close()
+    assert held and not any(held)
 
 
 def test_failed_log_stops_the_engine_without_changing_the_table(tmp_path, monkeypatch):

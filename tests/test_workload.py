@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from collections import Counter
@@ -9,6 +10,8 @@ from wsikv.oracle import IsolationPolicy
 from wsikv.timestamps import TimestampOracle
 from wsikv.wal import KIND_ABORT, KIND_COMMIT, read_records, recover
 from wsikv.workload import (
+    DISTRIBUTIONS,
+    MIXES,
     BenchResult,
     WorkloadSpec,
     ZipfianKeys,
@@ -31,7 +34,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         WorkloadSpec(key_space=10, mix="weird")
     with pytest.raises(ValueError):
-        WorkloadSpec(key_space=10, zipf_constant=1.0)
+        WorkloadSpec(key_space=10, distribution="weird")
+    with pytest.raises(ValueError):
+        WorkloadSpec(key_space=10, client_count=0)
 
 
 def test_mixed_workload_is_half_read_only():
@@ -147,6 +152,34 @@ def test_generated_scripts_are_deterministic_per_seed():
     dist_a, dist_b = make_distribution(spec), make_distribution(spec)
     for _ in range(200):
         assert generate_txn(spec, rng_a, dist_a) == generate_txn(spec, rng_b, dist_b)
+
+
+# sha256 prefixes of 500 scripts per distribution and mix, key space 100 000,
+# seed 1: the values the generator gave when they were pinned. A change to any
+# of them changes every benchmark's inputs.
+PINNED_SCRIPT_DIGESTS = {
+    ("uniform", "complex"): "6d15dc0c391a8d97",
+    ("uniform", "mixed"): "a95d10cde5148070",
+    ("zipfian", "complex"): "5d35ce9070569fbd",
+    ("zipfian", "mixed"): "3544c3663a4811ca",
+    ("zipfian-latest", "complex"): "1923421bad9a2166",
+    ("zipfian-latest", "mixed"): "99896aadaeac7203",
+}
+
+
+def test_generated_scripts_match_their_pinned_digests():
+    digests = {}
+    for distribution in DISTRIBUTIONS:
+        for mix in MIXES:
+            spec = WorkloadSpec(key_space=100_000, mix=mix, distribution=distribution, seed=1)
+            rng, dist = random.Random(1), make_distribution(spec)
+            h = hashlib.sha256()
+            for _ in range(500):
+                for kind, row in generate_txn(spec, rng, dist):
+                    h.update(kind.encode() + row)
+                h.update(b";")
+            digests[distribution, mix] = h.hexdigest()[:16]
+    assert digests == PINNED_SCRIPT_DIGESTS
 
 
 def test_uniform_large_keyspace_abort_rate_is_negligible():
