@@ -1,8 +1,9 @@
 """Embeddable transactional layer over a multi-version key-value store.
 
-Commit policies are pluggable: classic snapshot isolation (write-write
-conflict detection) and write-snapshot isolation (read-write conflict
-detection, serializable, with a read-only fast path). The package also ships
+Two commit policies, chosen per database and applied by one branch of the
+status oracle's submit: classic snapshot isolation (write-write conflict
+detection) and write-snapshot isolation (read-write conflict detection,
+serializable, with a read-only fast path). The package also ships
 an executable serializability checker for interleaved histories, a bounded
 commit table with a pessimistic eviction watermark, a durable write-ahead
 log with group commit, and a YCSB-style workload driver.

@@ -13,32 +13,29 @@ that same critical section, so a reader never starts while a commit is half
 installed. On abort the oracle drops the writer's map, so its versions never
 reach a committed list. A transaction always sees its own writes.
 
-A snapshot read returns the reader's own write, else the row's newest
-committed version when it committed before the reader started, and takes the
-lock only to bisect the list by the reader's start otherwise. The lock-free
-path is safe because:
+The oracle's critical section is the store's only writer: `install` and
+`compact` run inside it and nowhere else, so the store has no lock, and no
+read takes one. A snapshot read returns the reader's own write, else the
+row's newest committed version when it committed before the reader started,
+and bisects the list by the reader's start otherwise. That is safe because:
 
-(a) a row's committed list is created by `install`, under the store lock,
-    already holding its first version, and is never replaced; `install`
-    appends to it in commit order under the oracle lock, so every version
-    installed after a reader starts has a larger commit timestamp than the
-    reader's start and a newest version below it is the newest the reader
+(a) a row's committed list enters the map already holding its first version,
+    and `install` appends to it in commit order, so every version installed
+    after a reader starts has a larger commit timestamp than the reader's
+    start, and the newest version below that start is the newest the reader
     can see;
-(b) `compact` only cuts the front of a list in place and always keeps its
-    newest element, so a list is never empty and its last element is always
-    the newest version installed;
-(c) a single `dict.get`, dict store or pop, or `list[-1]` is atomic in
-    CPython.
-
-Rows are added to the committed map only under the store lock, so `compact`,
-`versions` and `rows` can walk it there. Bisecting indexes the list, which
-`compact` shifts, so it holds the lock.
+(b) a list is only ever appended to: `compact` replaces a list it cuts with a
+    trimmed copy that keeps the newest element, so a list a reader fetched
+    never shifts or loses an element, every version the reader can see was
+    installed before it fetched the list, and a version appended while it
+    bisects lands above its start;
+(c) a single `dict.get`, dict store or pop, `dict.copy`, list append or
+    `list[-1]` is atomic in CPython.
 """
 
 from __future__ import annotations
 
 import bisect
-import threading
 from typing import NamedTuple
 
 
@@ -54,7 +51,6 @@ class VersionedStore:
         self._committed: dict[bytes, list[tuple[int, bytes]]] = {}
         # writer start ts -> row -> tentative value
         self._tentative: dict[int, dict[bytes, bytes]] = {}
-        self._lock = threading.Lock()
 
     def put_tentative(self, row: bytes, writer_start_ts: int, value: bytes) -> None:
         """Write (row, writer) tentatively; a rewrite by the same transaction wins.
@@ -65,18 +61,18 @@ class VersionedStore:
         mine[row] = value
 
     def install(self, writer_start_ts: int, commit_ts: int) -> None:
-        """Commit the writer's versions at commit_ts; the oracle calls this in commit order."""
+        """Commit the writer's versions at commit_ts; the oracle calls this in
+        commit order, inside its critical section."""
         mine = self._tentative.pop(writer_start_ts, None)
         if not mine:
             return
         committed = self._committed
-        with self._lock:
-            for row, value in mine.items():
-                versions = committed.get(row)
-                if versions is None:  # enters the map holding its first version
-                    committed[row] = [(commit_ts, value)]
-                else:
-                    versions.append((commit_ts, value))
+        for row, value in mine.items():
+            versions = committed.get(row)
+            if versions is None:  # enters the map holding its first version
+                committed[row] = [(commit_ts, value)]
+            else:
+                versions.append((commit_ts, value))
 
     def snapshot_read(self, row: bytes, reader_start_ts: int) -> bytes | None:
         """The reader's own write, else the value committed latest before its start."""
@@ -89,9 +85,8 @@ class VersionedStore:
         newest = versions[-1]
         if newest[0] < reader_start_ts:
             return newest[1]
-        with self._lock:
-            i = bisect.bisect_left(versions, (reader_start_ts,))  # first at or after it
-            return versions[i - 1][1] if i else None
+        i = bisect.bisect_left(versions, (reader_start_ts,))  # first at or after it
+        return versions[i - 1][1] if i else None
 
     def purge_aborted(self, writer_start_ts: int) -> None:
         """Drop every tentative version of a writer; the oracle calls this when
@@ -101,23 +96,22 @@ class VersionedStore:
     def compact(self, low_watermark: int) -> None:
         """Maintenance GC: of each row's versions committed strictly below the
         watermark only the newest survives, since no reader at or above the
-        watermark can see the others."""
-        with self._lock:
-            for versions in self._committed.values():
-                if len(versions) > 1:
-                    i = bisect.bisect_left(versions, (low_watermark,))
-                    if i > 1:
-                        del versions[: i - 1]
+        watermark can see the others. The oracle calls this inside its
+        critical section; a cut list is replaced, never shifted (see (b))."""
+        committed = self._committed
+        for row, versions in committed.items():
+            if len(versions) > 1:
+                i = bisect.bisect_left(versions, (low_watermark,))
+                if i > 1:
+                    committed[row] = versions[i - 1 :]
 
     # -- introspection --------------------------------------------------------
 
     def versions(self, row: bytes) -> list[CellVersion]:
         """Committed versions of a row, newest commit first."""
-        with self._lock:
-            committed = self._committed.get(row, ())
-            return [CellVersion(row, value, tc) for tc, value in reversed(committed)]
+        committed = self._committed.get(row, ())
+        return [CellVersion(row, value, tc) for tc, value in reversed(committed)]
 
     def rows(self) -> list[bytes]:
         """Rows holding at least one committed version."""
-        with self._lock:
-            return sorted(self._committed)
+        return sorted(self._committed.copy())  # install may add a row meanwhile

@@ -19,6 +19,12 @@ store, so no transaction starts while a commit is half installed and the
 store decides visibility without the oracle. A started transaction stays
 live until its decision, which installs its writes or discards them, and the
 oldest live start is the garbage-collection watermark.
+
+The oracle's lock is the one lock of shared transaction state: every draw of
+a timestamp, every install in the store and every compaction of it runs
+inside it, so the timestamp oracle and the store have no lock of their own.
+No log flush is waited for while it is held: a decision or a start only
+appends to the log inside it and waits for durability after releasing it.
 """
 
 from __future__ import annotations
@@ -123,11 +129,12 @@ class StatusOracle:
 
     The conflict check, commit-timestamp draw, last-committer update and
     installation of the committed versions in `store` (or the purge of an
-    aborted writer's versions) form one atomic step, and start() draws start
-    timestamps and registers them as live inside the same lock. A decision is
-    appended to the write-ahead log before it changes any state, so a record
-    that cannot be logged leaves the oracle as it was; appending only buffers,
-    and the caller waits for durability after the lock is released.
+    aborted writer's versions) form one atomic step; start() draws start
+    timestamps and registers them as live, and gc() compacts the store,
+    inside the same lock. A decision is appended to the write-ahead log
+    before it changes any state, so a record that cannot be logged leaves the
+    oracle as it was; appending only buffers, and the caller waits for
+    durability after the lock is released.
     """
 
     def __init__(
@@ -154,20 +161,27 @@ class StatusOracle:
 
     def start(self) -> int:
         """Draw a start timestamp and register it as live; no commit is half
-        installed at that moment. Once the log has failed, raise its error: no
-        reader may see a commit whose record may not be durable."""
+        installed at that moment. Return it once its block's reservation is
+        durable, waited for after the lock is released. Once the log has
+        failed, raise its error: no reader may see a commit whose record may
+        not be durable."""
         with self._lock:
             if self.wal is not None and self.wal.error is not None:
                 raise self.wal.error
             ts = self.timestamps.next()
             self._active.add(ts)
-            return ts
+            reserved = self.timestamps.block_ack
+        if reserved is not None:
+            reserved.wait()
+        return ts
 
-    def low_watermark(self) -> int:
-        """The oldest live start timestamp, or the next timestamp when none is
-        live: no current or future reader starts below it."""
+    def gc(self) -> None:
+        """Compact the store below the oldest live start timestamp, or below
+        the next timestamp when none is live: no current or future reader
+        starts below it."""
         with self._lock:
-            return min(self._active) if self._active else self.timestamps.last_issued() + 1
+            active = self._active
+            self.store.compact(min(active) if active else self.timestamps.last_issued() + 1)
 
     def submit(self, start_ts: int, write_set, read_set=()) -> CommitDecision:
         """Decide a commit request under the oracle's policy: SI checks the

@@ -1,24 +1,22 @@
 """Centralized logical timestamp oracle.
 
 One strictly increasing counter serves both transaction start and commit
-timestamps, so the two families are directly comparable. Issuance is covered
-by durable block reservations: no timestamp of a block is issued before the
-block's reservation is durable in the write-ahead log. Creating the oracle
-makes the first block's reservation durable, before any caller holds a lock.
-After that the draw that enters a block is the only one that touches the
-log: it waits for that block's reservation and appends the next block's
-without waiting. By the time issuance reaches the next block a commit's
-flush has normally made it durable, so issuance seldom waits on the log, and
-a draw inside a block never does. A block of draws with no flush in between
-(a block's worth of begins before any decision) still waits for an
-fdatasync inside next(), under its caller's locks. After a crash, issuance
-resumes above the highest persisted reservation, so an abandoned block is
-never reused.
+timestamps, so the two families are directly comparable. The status
+oracle's critical section is the only caller of next(), so the counter has
+no lock of its own, and next() never waits on the log. Issuance is covered
+by durable block reservations: no timestamp of a block reaches a client
+before the block's reservation is durable in the write-ahead log. Creating
+the oracle appends the first block's reservation, and the draw that enters a
+block appends the next block's, so a reservation is normally made durable by
+an earlier flush before issuance reaches its block. `block_ack` acknowledges
+the reservation of the block issuance is in: StatusOracle.start() waits for
+it after releasing its lock, while a commit timestamp needs no wait of its
+own, because the commit's record follows the reservation in the log and the
+committer waits for that record. After a crash, issuance resumes above the
+highest persisted reservation, so an abandoned block is never reused.
 """
 
 from __future__ import annotations
-
-import threading
 
 from .wal import KIND_TS_RESERVE, WalRecord
 
@@ -38,28 +36,22 @@ class TimestampOracle:
             raise ValueError("start_after must be non-negative")
         self._wal = wal
         self._block_size = block_size
-        self._lock = threading.Lock()
         self._next = start_after + 1
-        self._reserved_up_to = start_after  # highest durable reservation
+        self.reserved_up_to = start_after  # high end of the block issuance is in
+        self.block_ack = None  # that block's reservation; None without a log
         self._pending = self._reserve(start_after)  # (ack, high) of the next block's appended reservation
-        if self._pending[0] is not None:
-            self._pending[0].wait()  # the first block's: durable before any caller holds a lock
 
     def next(self) -> int:
-        """Issue the next timestamp. Entering a block waits for its reservation
-        to be durable and appends the next block's; if the log fails to persist
-        or append either, its error propagates and no timestamp of that block
-        is issued."""
-        with self._lock:
-            ts = self._next
-            if ts > self._reserved_up_to:
-                ack, high = self._pending
-                if ack is not None:
-                    ack.wait()
-                self._pending = self._reserve(high)
-                self._reserved_up_to = high
-            self._next = ts + 1
-            return ts
+        """Issue the next timestamp; the caller holds the status oracle's lock.
+        Entering a block appends the next block's reservation; if the log
+        fails to append it, its error propagates and nothing is issued."""
+        ts = self._next
+        if ts > self.reserved_up_to:
+            ack, high = self._pending
+            self._pending = self._reserve(high)
+            self.block_ack, self.reserved_up_to = ack, high
+        self._next = ts + 1
+        return ts
 
     def _reserve(self, after: int):
         """Append the reservation of the block above `after`; (ack, its high end)."""
@@ -69,10 +61,4 @@ class TimestampOracle:
         return self._wal.append(WalRecord(kind=KIND_TS_RESERVE, reserved_up_to=high)), high
 
     def last_issued(self) -> int:
-        with self._lock:
-            return self._next - 1
-
-    @property
-    def reserved_up_to(self) -> int:
-        with self._lock:
-            return self._reserved_up_to
+        return self._next - 1

@@ -131,7 +131,7 @@ class Database:
 
     def gc(self) -> None:
         """Compact committed versions invisible to every current and future reader."""
-        self.store.compact(self.oracle.low_watermark())
+        self.oracle.gc()
 
     def close(self) -> None:
         if self.wal is not None:

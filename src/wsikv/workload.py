@@ -349,8 +349,7 @@ def bench_oracle(
         raise ValueError("rows_per_txn must be >= 0")
     if key_space < 1:
         raise ValueError("key_space must be >= 1")
-    timestamps = TimestampOracle()
-    oracle = StatusOracle(timestamps, policy, capacity=capacity)
+    oracle = StatusOracle(TimestampOracle(), policy, capacity=capacity)
 
     def worker(idx: int, share: int, ready) -> tuple[int, list[float]]:
         rng = random.Random(seed * 7_654_321 + idx)
@@ -366,7 +365,7 @@ def bench_oracle(
         committed = 0
         ready()
         for write_set, read_set in scripts:
-            start = timestamps.next()
+            start = oracle.start()
             t0 = clock()
             committed += oracle.submit(start, write_set, read_set).committed
             latencies.append(clock() - t0)

@@ -296,7 +296,7 @@ def test_c6_crash_recovery_equivalence(tmp_path, capsys):
                         twin.apply_abort(start)
                 decided += 1
             else:
-                start = timestamps.next()
+                start = oracle.start()
                 issued.append(start)
                 live.append(start)
         # kill: abandon the log without closing; sometimes leave a torn tail

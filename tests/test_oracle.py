@@ -11,6 +11,7 @@ from helpers import (
     si_safety_violations,
     wsi_safety_violations,
 )
+from wsikv.mvstore import VersionedStore
 from wsikv.oracle import (
     AlreadyCommittedError,
     CommitTable,
@@ -234,19 +235,39 @@ def test_report_abort_is_idempotent_and_respects_commits():
         oracle.report_abort(1)
 
 
-def test_low_watermark_is_the_oldest_live_start():
-    oracle, ts = make_oracle(SI)
-    assert oracle.low_watermark() == ts.last_issued() + 1 == 1
-    first, second, third, fourth = (oracle.start() for _ in range(4))
-    assert oracle.low_watermark() == first
-    oracle.submit(second, {b"x"})
-    assert oracle.low_watermark() == first  # a later decision leaves the oldest live
-    oracle.submit(first, {b"x"})  # conflict abort
-    assert oracle.low_watermark() == third
+def test_gc_compacts_below_the_oldest_live_start():
+    store = VersionedStore()
+    oracle = StatusOracle(TimestampOracle(), SI, store=store)
+
+    def commit_x(value):
+        start = oracle.start()
+        store.put_tentative(b"x", start, value)
+        assert oracle.submit(start, {b"x"}).committed
+
+    def kept_after_gc():
+        oracle.gc()
+        return [v.value for v in reversed(store.versions(b"x"))]
+
+    commit_x(b"a")
+    commit_x(b"b")
+    assert kept_after_gc() == [b"b"]  # none live: every later reader starts above both
+    first = oracle.start()
+    commit_x(b"c")
+    commit_x(b"d")
+    second, third = oracle.start(), oracle.start()
+    commit_x(b"e")
+    fourth = oracle.start()
+    commit_x(b"f")
+    assert kept_after_gc() == [b"b", b"c", b"d", b"e", b"f"]  # first reads b
+    assert oracle.submit(second, {b"y"}).committed
+    assert kept_after_gc() == [b"b", b"c", b"d", b"e", b"f"]  # a later decision leaves the oldest live
+    store.put_tentative(b"x", first, b"lost")
+    assert oracle.submit(first, {b"x"}).cause == "conflict"
+    assert kept_after_gc() == [b"d", b"e", b"f"]  # third reads d
     oracle.report_abort(third)
-    assert oracle.low_watermark() == fourth
-    oracle.submit(fourth, set())
-    assert oracle.low_watermark() == ts.last_issued() + 1
+    assert kept_after_gc() == [b"e", b"f"]  # fourth reads e
+    assert oracle.submit(fourth, set()).committed
+    assert kept_after_gc() == [b"f"]
 
 
 def test_commit_timestamps_increase_in_decision_order():

@@ -366,6 +366,33 @@ def test_gc_during_begin_keeps_the_new_snapshot_readable():
     assert reader.read(b"x") == b"old"
 
 
+def test_gc_between_a_bisect_and_its_index_keeps_the_read(monkeypatch):
+    # The reader's start lies below x's newest version, so its read bisects
+    # x's list. gc() runs right after that bisect, before the read indexes the
+    # list with its result: a compact that cut the list's front in place would
+    # shift the index onto a version committed after the reader started.
+    db = Database(WSI)
+    for value in (b"v0", b"v1"):
+        db.seed_committed(b"x", value)
+    reader = db.begin()
+    for value in (b"v2", b"v3"):
+        db.seed_committed(b"x", value)
+    real_bisect = bisect.bisect_left
+    bisected = []
+
+    def bisect_then_gc(a, x, *args, **kwargs):
+        i = real_bisect(a, x, *args, **kwargs)
+        if not bisected:  # the reader's bisect; gc's own pass through
+            bisected.append(i)
+            db.gc()
+        return i
+
+    monkeypatch.setattr(bisect, "bisect_left", bisect_then_gc)
+    assert reader.read(b"x") == b"v1"
+    assert bisected == [2]
+    assert [v.value for v in db.store.versions(b"x")] == [b"v3", b"v2", b"v1"]  # gc cut v0
+
+
 def test_reader_starting_during_a_commit_sees_all_of_it_or_none():
     # A reader begins while the writer is between drawing its commit timestamp
     # and installing its versions, reads x, and reads y once the commit has

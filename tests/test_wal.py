@@ -560,11 +560,11 @@ def test_begin_proceeds_while_committers_wait_on_fsync(tmp_path, monkeypatch):
 
 def test_begin_inside_a_block_returns_while_a_sync_is_blocked(tmp_path, monkeypatch):
     db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"), block_size=4)
-    # start 1: the block up to 4 is reserved and waited for; 8 is appended ahead
+    # start 1: 8 is appended ahead, and one flush makes it and 4 durable
     writer = db.begin()
     writer.write(b"x", b"1")
     sync = _BlockingSync(monkeypatch)
-    # commit 2: its flush, which carries the reservation of 8, blocks
+    # commit 2: its flush blocks
     committer = threading.Thread(target=writer.commit)
     committer.start()
     assert sync.entered.wait(2.0)
@@ -646,25 +646,28 @@ def test_torn_write_stops_the_log_and_recovers_to_the_last_whole_record(tmp_path
 
 def test_failed_reservation_reaches_begin_as_the_log_error(tmp_path, monkeypatch):
     db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"), block_size=1)
+    began = [db.begin(), db.begin()]  # the first one's flush made the reservations of 1 and 2 durable
+    assert [h.start_ts for h in began] == [1, 2]
     monkeypatch.setattr(wal_module.os, "fdatasync", _failing_sync)
-    assert db.begin().start_ts == 1  # its block's reservation was made durable at open
     with pytest.raises(WalError) as raised:
-        db.begin()  # the next block's reservation cannot be made durable
+        began.append(db.begin())  # the next block's reservation cannot be made durable
     assert raised.value is db.wal.error
-    assert db.timestamps.last_issued() == 1
+    with pytest.raises(WalError):
+        began.append(db.begin())  # the engine has stopped
+    assert [h.start_ts for h in began] == [1, 2]  # no failed begin returned a timestamp
 
 
-def test_first_begin_syncs_under_no_lock(tmp_path, monkeypatch):
-    path = tmp_path / "x.wal"
-    held = []  # per fdatasync: whether the open database's oracle or timestamp lock was held
+def test_no_sync_runs_under_the_oracle_lock(tmp_path, monkeypatch):
+    held = []  # per fdatasync: whether the open database's oracle lock was held
     opened = []
     sync = os.fdatasync
 
     def probe(fd):
-        held.extend(db.oracle._lock.locked() or db.timestamps._lock.locked() for db in opened)
+        held.extend(db.oracle._lock.locked() for db in opened)
         sync(fd)
 
     monkeypatch.setattr(wal_module.os, "fdatasync", probe)
+    path = tmp_path / "x.wal"
     for opening in (lambda: Database(WSI, wal=WriteAheadLog(path)), lambda: Database.recover(path)):
         db = opening()
         opened[:] = [db]
@@ -672,6 +675,14 @@ def test_first_begin_syncs_under_no_lock(tmp_path, monkeypatch):
         h.write(b"x", b"1")
         assert h.commit().committed
         db.close()
+    # a fresh log and no decision: two and a half blocks of begins, and no
+    # commit whose flush would carry a reservation ahead of need
+    db = Database(WSI, wal=WriteAheadLog(tmp_path / "fresh.wal"))
+    opened[:] = [db]
+    synced = len(held)
+    assert [db.begin().start_ts for _ in range(2500)][-1] == 2500
+    assert len(held) > synced
+    db.close()
     assert held and not any(held)
 
 

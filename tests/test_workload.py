@@ -6,8 +6,7 @@ from collections import Counter
 import pytest
 
 import wsikv.workload
-from wsikv.oracle import IsolationPolicy
-from wsikv.timestamps import TimestampOracle
+from wsikv.oracle import IsolationPolicy, StatusOracle
 from wsikv.wal import KIND_ABORT, KIND_COMMIT, read_records, recover
 from wsikv.workload import (
     DISTRIBUTIONS,
@@ -267,19 +266,19 @@ def test_bench_percentiles_are_nearest_rank():
     assert BenchResult(WSI, 1, 0, 0, 0, 0, 1.0, []).percentile(0.5) == 0.0
 
 
-class _YieldingTimestamps(TimestampOracle):
-    """Yields the interpreter after each draw, widening the gap between a
+class _YieldingOracle(StatusOracle):
+    """Yields the interpreter after each start, widening the gap between a
     client's start-timestamp draw and its submit, where other clients'
     commits raise t_max past that start."""
 
-    def next(self) -> int:
-        ts = super().next()
+    def start(self) -> int:
+        ts = super().start()
         time.sleep(0)
         return ts
 
 
 def test_bench_oracle_with_small_capacity_counts_pessimistic_aborts(monkeypatch):
-    monkeypatch.setattr(wsikv.workload, "TimestampOracle", _YieldingTimestamps)
+    monkeypatch.setattr(wsikv.workload, "StatusOracle", _YieldingOracle)
     result = bench_oracle(
         WSI, clients=8, requests=4000, rows_per_txn=4, key_space=8, capacity=4, seed=6
     )
