@@ -4,7 +4,9 @@ Every commit request goes through `StatusOracle.submit` with both of its
 row-identifier sets, and the oracle alone applies the isolation policy.
 Under snapshot isolation the write set is checked against the last committer
 of each row; under write-snapshot isolation the read set is checked instead.
-A request with an empty write set commits unchecked under either. A bounded
+A request with an empty write set commits unchecked under either, at its
+start timestamp: that is its serialization point under write-snapshot
+isolation, and snapshot isolation checks nothing there either. A bounded
 table tracks only the most recently committed rows and keeps a watermark
 t_max, the largest commit timestamp ever evicted: a request touching an
 untracked row pessimistically aborts when its start timestamp is below the
@@ -21,10 +23,14 @@ live until its decision, which installs its writes or discards them, and the
 oldest live start is the garbage-collection watermark.
 
 The oracle's lock is the one lock of shared transaction state: every draw of
-a timestamp, every install in the store and every compaction of it runs
-inside it, so the timestamp oracle and the store have no lock of their own.
-No log flush is waited for while it is held: a decision or a start only
-appends to the log inside it and waits for durability after releasing it.
+a timestamp, every writing or aborting decision, every install in the store
+and every compaction of it runs inside it, so the timestamp oracle and the
+store have no lock of their own. A read-only commit takes no lock and draws
+no timestamp: it appends its record under the log's own lock, then stores its
+outcome and leaves the live set in one atomic operation each (see the store's
+list (c)). No log flush is waited for while the lock is held: a decision or
+a start only appends to the log inside it and waits for durability after
+releasing it.
 """
 
 from __future__ import annotations
@@ -96,8 +102,9 @@ class CommitTable:
         self.aborted: set[int] = set()
         self._evicted = 0  # evictions since last_commit was last rebuilt
 
-    def decided(self, start_ts: int) -> bool:
-        return start_ts in self.commit_records or start_ts in self.aborted
+    def check_undecided(self, start_ts: int) -> None:
+        if start_ts in self.commit_records or start_ts in self.aborted:
+            raise DuplicateRequestError(f"transaction {start_ts} already has a decision")
 
     def apply_commit(self, start_ts: int, commit_ts: int, rows) -> None:
         self.commit_records[start_ts] = commit_ts
@@ -125,16 +132,21 @@ class CommitTable:
 
 
 class StatusOracle:
-    """Decides commit requests inside one critical section per request.
+    """Decides each request that writes in one critical section.
 
     The conflict check, commit-timestamp draw, last-committer update and
     installation of the committed versions in `store` (or the purge of an
     aborted writer's versions) form one atomic step; start() draws start
     timestamps and registers them as live, and gc() compacts the store,
-    inside the same lock. A decision is appended to the write-ahead log
+    inside the same lock. A request that writes nothing commits outside it,
+    at its start timestamp. A decision is appended to the write-ahead log
     before it changes any state, so a record that cannot be logged leaves the
     oracle as it was; appending only buffers, and the caller waits for
     durability after the lock is released.
+
+    `committed_count` and `read_only_commits` are exact once no decision is
+    in flight: writing commits are counted under the lock, and every commit
+    adds one outcome record.
     """
 
     def __init__(
@@ -154,10 +166,18 @@ class StatusOracle:
         self.table = table if table is not None else CommitTable(capacity=capacity)
         self._lock = threading.Lock()
         self._active: set[int] = set()  # start timestamps not yet decided
-        self.committed_count = 0
-        self.read_only_commits = 0
+        self._records_at_open = len(self.table.commit_records)
+        self._writing_commits = 0
         self.conflict_aborts = 0
         self.pessimistic_aborts = 0
+
+    @property
+    def committed_count(self) -> int:
+        return len(self.table.commit_records) - self._records_at_open
+
+    @property
+    def read_only_commits(self) -> int:
+        return self.committed_count - self._writing_commits
 
     def start(self) -> int:
         """Draw a start timestamp and register it as live; no commit is half
@@ -180,29 +200,35 @@ class StatusOracle:
         the next timestamp when none is live: no current or future reader
         starts below it."""
         with self._lock:
-            active = self._active
-            self.store.compact(min(active) if active else self.timestamps.last_issued() + 1)
+            # read-only commits leave _active without the lock: one call reads it
+            self.store.compact(min(self._active, default=self.timestamps.last_issued() + 1))
 
     def submit(self, start_ts: int, write_set, read_set=()) -> CommitDecision:
         """Decide a commit request under the oracle's policy: SI checks the
         write set, WSI the read set, and a request with no writes commits
-        unchecked under either.
+        unchecked under either, at its start timestamp, without the lock.
 
         A checked set is sorted once, before the lock is taken: abort
         classification must not depend on set order, and a commit applies
-        and logs its rows in that order."""
+        and logs its rows in that order. Either set may be any iterable, so
+        the write set is tested once materialized. Without the lock, a
+        read-only request's duplicate check is not atomic with its record;
+        that needs no lock, because one handle owns a start timestamp and
+        submits it once."""
         writes = tuple(sorted(set(write_set)))
-        if writes and self.policy is IsolationPolicy.WSI:
-            checked = sorted(set(read_set))
-        else:
-            checked = writes
+        table = self.table
+        if not writes:
+            table.check_undecided(start_ts)
+            ack = self._append(KIND_COMMIT, start_ts, start_ts, ())
+            table.commit_records[start_ts] = start_ts
+            self._active.discard(start_ts)
+            if ack is not None:
+                ack.wait()
+            return CommitDecision(True, start_ts)
+        checked = sorted(set(read_set)) if self.policy is IsolationPolicy.WSI else writes
         ack = None
         with self._lock:
-            table = self.table
-            if table.decided(start_ts):
-                raise DuplicateRequestError(
-                    f"transaction {start_ts} already has a decision"
-                )
+            table.check_undecided(start_ts)
             cause = None
             for row in checked:
                 last = table.last_commit.get(row)
@@ -245,19 +271,14 @@ class StatusOracle:
     # -- internals -----------------------------------------------------------
 
     def _commit_locked(self, start_ts: int, rows: tuple[RowId, ...]):
-        """Commit with `rows`, the sorted write set; returns (commit ts, ack)."""
+        """Commit with `rows`, the sorted non-empty write set; returns (commit ts, ack)."""
         tc = self.timestamps.next()
-        if rows:
-            ack = self._append(KIND_COMMIT, start_ts, tc, rows)
-            self.table.apply_commit(start_ts, tc, rows)
-            if self.store is not None:
-                self.store.install(start_ts, tc)
-        else:  # a read-only commit is only logged and recorded; it touches no row
-            ack = self._append(KIND_COMMIT, start_ts, tc, ())
-            self.table.commit_records[start_ts] = tc
-            self.read_only_commits += 1
+        ack = self._append(KIND_COMMIT, start_ts, tc, rows)
+        self.table.apply_commit(start_ts, tc, rows)
+        if self.store is not None:
+            self.store.install(start_ts, tc)
         self._active.discard(start_ts)
-        self.committed_count += 1
+        self._writing_commits += 1
         return tc, ack
 
     def _abort_locked(self, start_ts: int):

@@ -4,9 +4,10 @@ A transaction reads from the snapshot fixed by its start timestamp, buffers
 writes as tentative versions, and tracks the row identifiers it actually read
 and wrote. The handle talks to the status oracle itself: commit submits both
 sets, and the oracle alone decides which of them the policy checks; abort
-reports the abandonment. The oracle draws start timestamps, installs
-committed versions in the store and discards aborted ones, so reads never
-consult it. The database only wires the layers together.
+reports the abandonment. A handle that wrote nothing commits at its start
+timestamp, without the oracle's lock. The oracle draws start timestamps,
+installs committed versions in the store and discards aborted ones, so reads
+never consult it. The database only wires the layers together.
 """
 
 from __future__ import annotations

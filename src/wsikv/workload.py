@@ -216,14 +216,16 @@ def _drive(clients: int, total: int, worker) -> tuple[list, float]:
 
     Each thread calls worker(idx, share, ready): the worker prepares, calls
     ready() to wait for the others and then does its `share` of the work.
-    The wall clock spans every thread from start to join, preparation
-    included. Returns (per-client worker results, wall seconds); the first
-    exception a worker raised is raised instead, once every thread has joined.
+    The wall clock starts when the last worker is ready and stops when the
+    last thread has joined, so preparation is not timed. Returns (per-client
+    worker results, wall seconds); the first exception a worker raised is
+    raised instead, once every thread has joined.
     """
     shares = [total // clients + (1 if i < total % clients else 0) for i in range(clients)]
     results = [None] * clients
     errors = []
-    barrier = threading.Barrier(clients)
+    started = []
+    barrier = threading.Barrier(clients, action=lambda: started.append(time.perf_counter()))
 
     def body(idx: int) -> None:
         try:
@@ -233,14 +235,13 @@ def _drive(clients: int, total: int, worker) -> tuple[list, float]:
             barrier.abort()  # a worker still waiting in ready() must not wait forever
 
     threads = [threading.Thread(target=body, args=(i,)) for i in range(clients)]
-    t_start = time.perf_counter()
     for t in threads:
         t.start()
     for t in threads:
         t.join()
     if errors:
         raise errors[0]
-    return results, time.perf_counter() - t_start
+    return results, time.perf_counter() - started[0]
 
 
 def run(

@@ -1,5 +1,6 @@
 import random
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from helpers import (
 from wsikv.mvstore import VersionedStore
 from wsikv.oracle import (
     AlreadyCommittedError,
+    CommitDecision,
     CommitTable,
     DuplicateRequestError,
     IsolationPolicy,
@@ -120,6 +122,41 @@ def test_wsi_read_only_request_with_an_overwritten_read_row_commits_unchecked():
     assert decision.committed
     assert oracle.table.last_commit == before
     assert oracle.read_only_commits == 1
+
+
+def test_read_only_commit_takes_no_lock_and_draws_no_timestamp():
+    oracle, ts = make_oracle(WSI)
+    start = oracle.start()
+    decisions = []
+    with oracle._lock:
+        t = threading.Thread(target=lambda: decisions.append(oracle.submit(start, set(), {b"x"})))
+        t.start()
+        t.join(timeout=5)
+        returned = not t.is_alive()
+    t.join()
+    assert returned
+    assert decisions == [CommitDecision(True, start)]
+    assert ts.last_issued() == start
+    assert oracle.table.commit_records == {start: start}
+    assert oracle._active == set()
+
+
+def test_generator_sets_are_materialized_before_the_policy_applies():
+    oracle, ts = make_oracle(SI)
+    early, writer, reader = ts.next(), ts.next(), ts.next()
+    assert oracle.submit(writer, iter([b"x"])).committed
+    # a non-empty generator write set is checked under SI
+    assert oracle.submit(early, (row for row in [b"x"])).cause == "conflict"
+    # an empty one is read-only, however truthy the generator itself is
+    assert oracle.submit(reader, (row for row in ())) == CommitDecision(True, reader)
+    assert oracle.read_only_commits == 1
+
+    oracle, ts = make_oracle(WSI)
+    early, writer = ts.next(), ts.next()
+    assert oracle.submit(writer, iter([b"x"])).committed
+    # a generator read set is checked under WSI
+    decision = oracle.submit(early, (row for row in [b"y"]), (row for row in [b"x"]))
+    assert decision.cause == "conflict"
 
 
 def test_read_only_never_aborted_even_under_heavy_conflicts():
@@ -271,16 +308,17 @@ def test_gc_compacts_below_the_oldest_live_start():
 
 
 def test_commit_timestamps_increase_in_decision_order():
+    # writing commits draw unique, strictly ascending timestamps in decision
+    # order; a read-only commit is serialized at its start and draws none
     rng = random.Random(3)
     schedule = random_schedule(rng, n_txns=40)
-    decisions, _, _, _ = drive_schedule(schedule, WSI)
-    tcs = [
-        decisions[ev[1]].commit_ts
-        for ev in schedule
-        if ev[0] == "commit" and decisions[ev[1]].committed
-    ]
-    assert tcs == sorted(tcs)
-    assert len(set(tcs)) == len(tcs)
+    decisions, _, starts, requests = drive_schedule(schedule, WSI)
+    committed = [ev[1] for ev in schedule if ev[0] == "commit" and decisions[ev[1]].committed]
+    writing = [decisions[i].commit_ts for i in committed if requests[i][0]]
+    read_only = [i for i in committed if not requests[i][0]]
+    assert writing and read_only
+    assert all(a < b for a, b in zip(writing, writing[1:]))
+    assert all(decisions[i].commit_ts == starts[i] for i in read_only)
 
 
 # -- safety properties (brute force over committed pairs) ----------------------------

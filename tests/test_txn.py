@@ -433,6 +433,55 @@ def test_reader_starting_during_a_commit_sees_all_of_it_or_none():
     assert seen in ([b"x0", b"y0", True], [b"x1", b"y1", True])
 
 
+def test_concurrent_read_only_and_writing_commits_keep_exact_counts():
+    # read-only commits record their outcome and leave the live set without
+    # the oracle lock, while writers, begins and gc() take it
+    db = Database(WSI)
+    seen = []  # per client: (writing commits, read-only starts)
+    errors = []
+
+    def client(seed):
+        rng = random.Random(seed)
+        writing, read_only = 0, []
+        try:
+            for k in range(300):
+                h = db.begin()
+                h.read(b"r%d" % rng.randrange(8))
+                writes = rng.random() < 0.5
+                if writes:
+                    h.write(b"r%d" % rng.randrange(8), b"v")
+                d = h.commit()
+                if d.committed and writes:
+                    writing += 1
+                elif d.committed:
+                    assert d.commit_ts == h.start_ts
+                    read_only.append(h.start_ts)
+                if seed == 0 and k % 20 == 0:
+                    db.gc()
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+        seen.append((writing, read_only))
+
+    threads = [threading.Thread(target=client, args=(i,)) for i in range(4)]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    read_only = [start for _, starts in seen for start in starts]
+    oracle = db.oracle
+    assert oracle.read_only_commits == len(read_only) > 0
+    assert oracle.committed_count == len(read_only) + sum(w for w, _ in seen)
+    assert all(oracle.table.commit_records[start] == start for start in read_only)
+    assert oracle._active == set()
+
+
 def test_concurrent_transfers_keep_every_snapshot_balanced():
     # More client threads than cores and a short switch interval, so that
     # begins, commits and gc() interleave finely. Every transfer reads and

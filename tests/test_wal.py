@@ -686,6 +686,34 @@ def test_no_sync_runs_under_the_oracle_lock(tmp_path, monkeypatch):
     assert held and not any(held)
 
 
+def test_read_only_commit_returns_once_its_record_is_durable(tmp_path):
+    path = tmp_path / "x.wal"
+    db = Database(WSI, wal=WriteAheadLog(path))
+    h = db.begin()
+    h.read(b"x")
+    assert h.commit().committed
+    # nothing else flushes the log, so the commit's own wait made this durable
+    assert WalRecord(KIND_COMMIT, h.start_ts, h.start_ts, ()) in read_records(path)
+    db.close()
+
+
+def test_read_only_commit_after_a_log_failure_raises_and_stays_active(tmp_path, monkeypatch):
+    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
+    flushed_by_itself, after_failure = db.begin(), db.begin()
+    monkeypatch.setattr(wal_module.os, "fdatasync", _failing_sync)
+    with pytest.raises(WalError):
+        flushed_by_itself.commit()  # its own record's flush fails
+    assert flushed_by_itself.state is HandleState.ACTIVE
+    records = dict(db.oracle.table.commit_records)
+    with pytest.raises(WalError):
+        after_failure.commit()  # the log has stopped: nothing is appended
+    assert after_failure.state is HandleState.ACTIVE
+    assert db.oracle.table.commit_records == records
+    assert after_failure.start_ts not in records
+    with pytest.raises(WalError):
+        db.close()
+
+
 def test_failed_log_stops_the_engine_without_changing_the_table(tmp_path, monkeypatch):
     db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
     doomed, later, abandoned, rival = db.begin(), db.begin(), db.begin(), db.begin()

@@ -266,6 +266,18 @@ def test_bench_percentiles_are_nearest_rank():
     assert BenchResult(WSI, 1, 0, 0, 0, 0, 1.0, []).percentile(0.5) == 0.0
 
 
+def test_preparation_before_ready_is_not_timed():
+    def worker(idx, share, ready):
+        if idx == 0:
+            time.sleep(0.5)  # a slow preparation, such as building every request
+        ready()
+        return share
+
+    results, wall = wsikv.workload._drive(2, 3, worker)
+    assert results == [2, 1]
+    assert wall < 0.25
+
+
 class _YieldingOracle(StatusOracle):
     """Yields the interpreter after each start, widening the gap between a
     client's start-timestamp draw and its submit, where other clients'
