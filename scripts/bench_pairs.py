@@ -4,11 +4,14 @@
     python3 scripts/bench_pairs.py --base HEAD --workload latest-mixed \\
         --pairs 10 --seconds 10 --seed-start 1 --out BENCH.json
 
-The base revision is exported with `git archive` into a temporary directory.
+Neither side runs in the repository itself. The base revision is exported
+with `git archive` into a temporary directory, and the working tree's tracked
+files, as they stand, are copied into another, so both sides run from a fresh
+directory and `--base HEAD` on a clean tree compares identical code (an A/A).
 Pair i runs `perfbench/run.py --workload W --seed K+i --seconds S --trace 0`
-on that copy and on the working tree, the base first in even pairs and the
-working tree first in odd ones. The script stops at the first run that is
-not `correct` or reports `failed` transactions.
+on the two copies, the base first in even pairs and the working tree first in
+odd ones. The script stops at the first run that is not `correct` or reports
+`failed` transactions.
 
 For each end-to-end metric declared in BENCHMARK.json it prints both sides'
 median and quartiles, the ratio of the medians (change / base), how many
@@ -28,6 +31,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -110,6 +114,16 @@ def export(rev: str, into: Path) -> str:
     return sha
 
 
+def export_worktree(into: Path) -> None:
+    """Copy the working tree's tracked files, as they stand, into `into`."""
+    names = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, capture_output=True, check=True).stdout
+    for name in names.decode().split("\0"):
+        source = ROOT / name
+        if name and source.is_file():  # a tracked file deleted in the working tree is left out
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--base", required=True, help="git revision to compare against")
@@ -122,9 +136,10 @@ def main() -> int:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     base_runs, change_runs = [], []
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
-        sha = export(args.base, Path(tmp))
-        trees = {"base": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        sha = export(args.base, trees["base"])
+        export_worktree(trees["change"])
         lines = {side: src_lines(tree) for side, tree in trees.items()}
         for i in range(args.pairs):
             seed = args.seed_start + i
@@ -140,7 +155,7 @@ def main() -> int:
                     return 1
 
     summary = summarize(metric_values(base_runs), metric_values(change_runs), declared)
-    print(f"{args.workload}: {args.pairs} pairs, base {sha[:12]} against the working tree")
+    print(f"{args.workload}: {args.pairs} pairs, base {sha[:12]} against a copy of the working tree")
     print(f"src_lines: base {lines['base']}, change {lines['change']}")
     print(f"{'metric':<14} {'base q1/median/q3':>30} {'change q1/median/q3':>30} {'ratio':>6} "
           f"{'wins':>6} claim bound")

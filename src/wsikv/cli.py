@@ -4,6 +4,7 @@ oracle benchmarking, and write-ahead-log recovery inspection."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import wal as _wal
@@ -21,6 +22,7 @@ from .workload import (
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer the signal stopped
 
 
 def _capacity(text: str) -> int | None:
@@ -177,6 +179,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
+    except BrokenPipeError:
+        # the reader closed standard output (`... | head -1`): stop quietly, and
+        # point it at devnull so the flush at exit cannot fail again (see the
+        # note on SIGPIPE in the docs of Python's signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (OSError, RuntimeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

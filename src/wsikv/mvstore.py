@@ -33,6 +33,16 @@ and bisects the list by the reader's start otherwise. That is safe because:
     `list[-1]`, set add or discard, and `min` over a set of ints is atomic
     in CPython. The last three serve the oracle's live set: `gc()` reads it
     while read-only commits discard from it without the oracle's lock.
+
+Garbage collection walks only the rows holding three or more versions, which
+`install` lists in `_long` as each reaches three. `compact(low_watermark)`
+cuts each listed row to its newest version below the watermark plus every
+version at or above it, and keeps listed only the rows still holding more
+than two. Only the oracle's critical section touches the list, so it needs no
+lock. A row of two versions is not cut: that spare version saves copying
+every row written since the last collection. After each collection the store
+holds at most 2 x rows + the versions committed at or above the watermark,
+also for rows that were written often and then never again.
 """
 
 from __future__ import annotations
@@ -53,6 +63,8 @@ class VersionedStore:
         self._committed: dict[bytes, list[tuple[int, bytes]]] = {}
         # writer start ts -> row -> tentative value
         self._tentative: dict[int, dict[bytes, bytes]] = {}
+        # each row holding three or more committed versions, once
+        self._long: list[bytes] = []
 
     def put_tentative(self, row: bytes, writer_start_ts: int, value: bytes) -> None:
         """Write (row, writer) tentatively; a rewrite by the same transaction wins.
@@ -75,6 +87,8 @@ class VersionedStore:
                 committed[row] = [(commit_ts, value)]
             else:
                 versions.append((commit_ts, value))
+                if len(versions) == 3:
+                    self._long.append(row)
 
     def snapshot_read(self, row: bytes, reader_start_ts: int) -> bytes | None:
         """The reader's own write, else the value committed latest before its start."""
@@ -96,16 +110,21 @@ class VersionedStore:
         self._tentative.pop(writer_start_ts, None)
 
     def compact(self, low_watermark: int) -> None:
-        """Maintenance GC: of each row's versions committed strictly below the
-        watermark only the newest survives, since no reader at or above the
-        watermark can see the others. The oracle calls this inside its
-        critical section; a cut list is replaced, never shifted (see (b))."""
+        """Maintenance GC over the rows holding three or more versions: of a
+        row's versions committed strictly below the watermark only the newest
+        survives, since no reader at or above the watermark can see the
+        others. The oracle calls this inside its critical section; a cut list
+        is replaced, never shifted (see (b))."""
         committed = self._committed
-        for row, versions in committed.items():
-            if len(versions) > 1:
-                i = bisect.bisect_left(versions, (low_watermark,))
-                if i > 1:
-                    committed[row] = versions[i - 1 :]
+        long = []
+        for row in self._long:
+            versions = committed[row]
+            i = bisect.bisect_left(versions, (low_watermark,))
+            if i > 1:
+                versions = committed[row] = versions[i - 1 :]
+            if len(versions) > 2:
+                long.append(row)
+        self._long = long
 
     # -- introspection --------------------------------------------------------
 

@@ -137,12 +137,12 @@ class StatusOracle:
     The conflict check, commit-timestamp draw, last-committer update and
     installation of the committed versions in `store` (or the purge of an
     aborted writer's versions) form one atomic step; start() draws start
-    timestamps and registers them as live, and gc() compacts the store,
-    inside the same lock. A request that writes nothing commits outside it,
-    at its start timestamp. A decision is appended to the write-ahead log
-    before it changes any state, so a record that cannot be logged leaves the
-    oracle as it was; appending only buffers, and the caller waits for
-    durability after the lock is released.
+    timestamps and registers them as live, and gc() cuts the store's rows
+    holding three or more versions, inside the same lock. A request that
+    writes nothing commits outside it, at its start timestamp. A decision is
+    appended to the write-ahead log before it changes any state, so a record
+    that cannot be logged leaves the oracle as it was; appending only
+    buffers, and the caller waits for durability after the lock is released.
 
     `committed_count` and `read_only_commits` are exact once no decision is
     in flight: writing commits are counted under the lock, and every commit
@@ -196,9 +196,11 @@ class StatusOracle:
         return ts
 
     def gc(self) -> None:
-        """Compact the store below the oldest live start timestamp, or below
-        the next timestamp when none is live: no current or future reader
-        starts below it."""
+        """Collect the store's garbage below the oldest live start timestamp,
+        or below the next timestamp when none is live: no current or future
+        reader starts below it. Inside the lock, `compact` walks only the rows
+        holding three or more versions, so the stall every begin and writing
+        commit waits for grows with those rows, not with the whole store."""
         with self._lock:
             # read-only commits leave _active without the lock: one call reads it
             self.store.compact(min(self._active, default=self.timestamps.last_issued() + 1))
@@ -208,13 +210,16 @@ class StatusOracle:
         write set, WSI the read set, and a request with no writes commits
         unchecked under either, at its start timestamp, without the lock.
 
-        A checked set is sorted once, before the lock is taken: abort
-        classification must not depend on set order, and a commit applies
-        and logs its rows in that order. Either set may be any iterable, so
-        the write set is tested once materialized. Without the lock, a
-        read-only request's duplicate check is not atomic with its record;
-        that needs no lock, because one handle owns a start timestamp and
-        submits it once."""
+        The write set is sorted once, before the lock is taken, because a
+        commit applies and logs its rows in that order; WSI walks the read
+        set as given, inside the lock, with no sort. The abort cause does not
+        depend on the order of the walk: it is "conflict" when any checked
+        row's last commit is above the start, else "pessimistic" when some
+        checked row is untracked while t_max is above the start. Either set
+        may be any iterable, walked once, so the write set is tested once
+        materialized. Without the lock, a read-only request's duplicate check
+        is not atomic with its record; that needs no lock, because one handle
+        owns a start timestamp and submits it once."""
         writes = tuple(sorted(set(write_set)))
         table = self.table
         if not writes:
@@ -225,19 +230,20 @@ class StatusOracle:
             if ack is not None:
                 ack.wait()
             return CommitDecision(True, start_ts)
-        checked = sorted(set(read_set)) if self.policy is IsolationPolicy.WSI else writes
+        checked = read_set if self.policy is IsolationPolicy.WSI else writes
         ack = None
         with self._lock:
             table.check_undecided(start_ts)
             cause = None
+            last_commit = table.last_commit
+            stale = table.t_max > start_ts  # an untracked row may have committed since
             for row in checked:
-                last = table.last_commit.get(row)
-                if last is not None:
-                    if last > start_ts:
-                        cause = "conflict"
-                        break
-                elif table.t_max > start_ts:
-                    cause = "pessimistic"
+                last = last_commit.get(row)
+                if last is None:
+                    if stale:
+                        cause = "pessimistic"  # a conflict further on still wins
+                elif last > start_ts:
+                    cause = "conflict"
                     break
             if cause is None:
                 tc, ack = self._commit_locked(start_ts, writes)

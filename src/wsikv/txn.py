@@ -131,7 +131,8 @@ class Database:
             raise RuntimeError(f"seeding {row!r} aborted on a concurrent write")
 
     def gc(self) -> None:
-        """Compact committed versions invisible to every current and future reader."""
+        """Drop committed versions invisible to every current and future
+        reader, from the rows holding three or more versions."""
         self.oracle.gc()
 
     def close(self) -> None:

@@ -1,5 +1,8 @@
 import errno
+import os
 import struct
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from wsikv.wal import CorruptLogError, WriteAheadLog
 from wsikv.workload import BENCH_CSV_HEADER, CSV_HEADER
 
 FIXTURES = Path(__file__).resolve().parent.parent / "histories"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_run_emits_csv(capsys):
@@ -112,6 +116,24 @@ def test_replay_reports_decisions(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "txn1=committed(" in out
     assert "txn2=aborted" in out
+
+
+def test_replay_into_a_closed_pipe_stops_quietly(tmp_path):
+    # far more output than a pipe buffers, so writes go on after the reader leaves
+    path = tmp_path / "h.txt"
+    path.write_text("r1[x] r2[x] w2[x] w1[x] c1 c2\n" * 20_000)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wsikv", "replay", "--policy", "wsi", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"r1[x] r2[x]")
+    proc.stdout.close()  # as `head -1` does after its line
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141  # 128 + SIGPIPE
+    assert err == b""  # no error line and no traceback
 
 
 def test_bench_oracle_zero_requests(capsys):

@@ -159,17 +159,22 @@ def _schedule(rng):
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     reader_start=st.integers(min_value=1, max_value=90),
+    watermark=st.integers(min_value=0, max_value=90),
 )
-def test_reads_match_brute_force_and_never_see_future_commits(seed, reader_start):
+def test_reads_match_brute_force_and_never_see_future_commits(seed, reader_start, watermark):
     puts, commits, aborted, in_flight = _schedule(random.Random(seed))
+    low = min(watermark, reader_start)  # gc never passes a live reader's start
     store = VersionedStore()
     for writer, row, value in puts:
         store.put_tentative(row, writer, value)
     for writer in sorted(commits, key=commits.get):  # the oracle installs in commit order
         store.install(writer, commits[writer])
+        store.compact(low)  # a collection after every install, the last one before the reads
     for writer in aborted:
         store.purge_aborted(writer)
     for row in (b"x", b"y"):
+        kept = store.versions(row)  # at most two, or one below the watermark
+        assert len(kept) <= 2 or sum(v.commit_ts < low for v in kept) <= 1
         wrote = {w: v for w, r, v in puts if r == row}
         if reader_start in in_flight and reader_start in wrote:
             expected = wrote[reader_start]

@@ -170,7 +170,7 @@ def test_read_only_never_aborted_even_under_heavy_conflicts():
 # -- bounded commit table ----------------------------------------------------------
 
 
-def seeded_bounded_oracle():
+def seeded_bounded_oracle(policy=WSI):
     """lastCommit={a:5, b:6}, t_max=4, capacity=2."""
     table = CommitTable(capacity=2)
     table.apply_commit(101, 4, (b"c",))
@@ -178,7 +178,7 @@ def seeded_bounded_oracle():
     table.apply_commit(103, 6, (b"b",))  # evicts c@4
     assert table.last_commit == {b"a": 5, b"b": 6}
     assert table.t_max == 4
-    oracle, ts = make_oracle(WSI, table=table, start_after=6)
+    oracle, ts = make_oracle(policy, table=table, start_after=6)
     return oracle, ts
 
 
@@ -212,6 +212,19 @@ def test_bounded_untracked_row_commits_at_or_above_watermark():
     # the new row displaced the smallest tracked entry and raised the watermark
     assert oracle.table.t_max == 5
     assert set(oracle.table.last_commit) == {b"b", b"d"}
+
+
+def test_a_conflict_on_any_checked_row_outranks_an_untracked_one():
+    # the cause does not depend on the order the checked rows are walked in
+    for reads in ([b"c", b"a"], [b"a", b"c"], iter([b"c", b"a"])):
+        oracle, _ = seeded_bounded_oracle()  # c untracked below t_max 4, a@5
+        assert oracle.submit(3, {b"z"}, reads).cause == "conflict"
+        assert (oracle.conflict_aborts, oracle.pessimistic_aborts) == (1, 0)
+    # under SI the sorted write set meets the untracked row 0 before a
+    oracle, _ = seeded_bounded_oracle(SI)
+    assert oracle.submit(3, {b"0", b"a"}).cause == "conflict"
+    assert oracle.submit(2, {b"0", b"b"}).cause == "conflict"
+    assert oracle.submit(1, {b"0"}).cause == "pessimistic"
 
 
 def test_bounded_tracked_row_uses_exact_value():
@@ -287,24 +300,76 @@ def test_gc_compacts_below_the_oldest_live_start():
 
     commit_x(b"a")
     commit_x(b"b")
-    assert kept_after_gc() == [b"b"]  # none live: every later reader starts above both
-    first = oracle.start()
+    assert kept_after_gc() == [b"a", b"b"]  # two versions are kept whole, though none live reads a
     commit_x(b"c")
+    assert kept_after_gc() == [b"c"]  # a third is cut: every later reader starts above all three
+    first = oracle.start()
     commit_x(b"d")
-    second, third = oracle.start(), oracle.start()
     commit_x(b"e")
-    fourth = oracle.start()
+    second, third = oracle.start(), oracle.start()
     commit_x(b"f")
-    assert kept_after_gc() == [b"b", b"c", b"d", b"e", b"f"]  # first reads b
+    fourth = oracle.start()
+    commit_x(b"g")
+    assert kept_after_gc() == [b"c", b"d", b"e", b"f", b"g"]  # first reads c
     assert oracle.submit(second, {b"y"}).committed
-    assert kept_after_gc() == [b"b", b"c", b"d", b"e", b"f"]  # a later decision leaves the oldest live
+    assert kept_after_gc() == [b"c", b"d", b"e", b"f", b"g"]  # a later decision leaves the oldest live
     store.put_tentative(b"x", first, b"lost")
     assert oracle.submit(first, {b"x"}).cause == "conflict"
-    assert kept_after_gc() == [b"d", b"e", b"f"]  # third reads d
+    assert kept_after_gc() == [b"e", b"f", b"g"]  # third reads e
     oracle.report_abort(third)
-    assert kept_after_gc() == [b"e", b"f"]  # fourth reads e
+    assert kept_after_gc() == [b"f", b"g"]  # fourth reads f
     assert oracle.submit(fourth, set()).committed
-    assert kept_after_gc() == [b"f"]
+    assert kept_after_gc() == [b"f", b"g"]  # none live, but two versions are kept whole
+    commit_x(b"h")
+    assert kept_after_gc() == [b"h"]
+
+
+def test_gc_bounds_the_versions_of_a_hot_set_that_moves_on_and_goes_cold():
+    # Each gc interval writes a fresh hot set many times, and the last one
+    # once more; a set is then never written again. After every gc the store
+    # holds at most 2 x rows + the versions committed at or above the
+    # watermark, with a reader pinning the watermark or without one.
+    store = VersionedStore()
+    oracle = StatusOracle(TimestampOracle(), SI, store=store)
+    hot_sets = [[b"r%03d" % (5 * k + i) for i in range(5)] for k in range(24)]
+
+    def commit(rows, value):
+        start = oracle.start()
+        for row in rows:
+            store.put_tentative(row, start, value)
+        assert oracle.submit(start, rows).committed
+
+    def gc_within_bound(watermark):
+        oracle.gc()
+        versions = {row: store.versions(row) for row in store.rows()}
+        total = sum(len(vs) for vs in versions.values())
+        above = sum(v.commit_ts >= watermark for vs in versions.values() for v in vs)
+        assert total <= 2 * len(versions) + above
+        return versions
+
+    def interval(k):
+        for n in range(7):
+            commit(hot_sets[k], b"%d.%d" % (k, n))
+        if k:
+            commit(hot_sets[k - 1], b"%d.late" % k)
+
+    for k in range(8):  # none live: every version is below the watermark
+        interval(k)
+        versions = gc_within_bound(oracle.timestamps.last_issued() + 1)
+        assert max(len(vs) for vs in versions.values()) <= 2
+    reader = oracle.start()
+    seen = {row: store.snapshot_read(row, reader) for k in range(24) for row in hot_sets[k]}
+    for k in range(8, 16):  # the reader pins the watermark
+        interval(k)
+        versions = gc_within_bound(reader)
+        assert {row: store.snapshot_read(row, reader) for row in seen} == seen
+        for row, vs in versions.items():  # one version below the watermark, or at most two
+            assert len(vs) <= 2 or sum(v.commit_ts < reader for v in vs) <= 1
+    assert oracle.submit(reader, set()).committed
+    for k in range(16, 24):
+        interval(k)
+        versions = gc_within_bound(oracle.timestamps.last_issued() + 1)
+        assert max(len(vs) for vs in versions.values()) <= 2  # the rows the reader kept are cut
 
 
 def test_commit_timestamps_increase_in_decision_order():

@@ -130,6 +130,26 @@ def test_bench_pairs_counts_library_lines_like_wc(tmp_path):
     assert src_lines(tmp_path) == 3
 
 
+def test_bench_pairs_copies_the_tracked_files_of_the_working_tree_as_they_stand(tmp_path, monkeypatch):
+    bench_pairs = load_bench_pairs()
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(repo)]
+    subprocess.run([*git, "init", "-q"], check=True)
+    for name, text in (("kept.py", "committed\n"), ("pkg/edited.py", "committed\n"), ("deleted.py", "x\n")):
+        (repo / name).write_text(text)
+    subprocess.run([*git, "add", "."], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "init"], check=True)
+    (repo / "pkg" / "edited.py").write_text("edited, not committed\n")
+    (repo / "deleted.py").unlink()
+    (repo / "untracked.py").write_text("never added\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    into = tmp_path / "copy"
+    bench_pairs.export_worktree(into)
+    assert sorted(str(p.relative_to(into)) for p in into.rglob("*") if p.is_file()) == ["kept.py", "pkg/edited.py"]
+    assert (into / "pkg" / "edited.py").read_text() == "edited, not committed\n"
+
+
 def test_bench_pairs_alternates_the_sides_and_stores_every_run(tmp_path, monkeypatch):
     bench_pairs = load_bench_pairs()
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
@@ -142,13 +162,17 @@ def test_bench_pairs_alternates_the_sides_and_stores_every_run(tmp_path, monkeyp
         return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
 
     monkeypatch.setattr(bench_pairs, "export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "export_worktree", lambda into: None)
     monkeypatch.setattr(bench_pairs, "subprocess", type("Stub", (), {"run": staticmethod(fake_run)}))
     out = tmp_path / "bench.json"
     monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--base", "HEAD", "--workload", "w", "--pairs", "3",
                                       "--seconds", "1", "--seed-start", "1", "--out", str(out)])
     assert bench_pairs.main() == 0
     # the base tree runs first in even pairs, the working tree first in odd ones
-    assert [tree == bench_pairs.ROOT for tree in runs] == [False, True, True, False, False, True]
+    assert [tree.name for tree in runs] == ["base", "change", "change", "base", "base", "change"]
+    # neither side runs in the repository: the working tree is a copy too
+    assert bench_pairs.ROOT not in {tree.parent for tree in runs}
+    assert len({tree.parent for tree in runs}) == 1
     doc = json.loads(out.read_text())["workloads"]["w"]
     assert doc["first"] == ["base", "change", "base"] and doc["seeds"] == [1, 2, 3]
     assert len(doc["base_runs"]) == len(doc["change_runs"]) == 3
