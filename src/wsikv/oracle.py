@@ -79,6 +79,10 @@ class CommitDecision(NamedTuple):
         return f"committed({self.commit_ts})" if self.committed else "aborted"
 
 
+_WSI = IsolationPolicy.WSI
+_new_tuple = tuple.__new__  # builds a CommitDecision without its generated __new__
+
+
 class CommitTable:
     """Last-committer map plus transaction outcome records.
 
@@ -201,6 +205,8 @@ class StatusOracle:
         reader starts below it. Inside the lock, `compact` walks only the rows
         holding three or more versions, so the stall every begin and writing
         commit waits for grows with those rows, not with the whole store."""
+        if self.store is None:
+            return
         with self._lock:
             # read-only commits leave _active without the lock: one call reads it
             self.store.compact(min(self._active, default=self.timestamps.last_issued() + 1))
@@ -217,20 +223,26 @@ class StatusOracle:
         row's last commit is above the start, else "pessimistic" when some
         checked row is untracked while t_max is above the start. Either set
         may be any iterable, walked once, so the write set is tested once
-        materialized. Without the lock, a read-only request's duplicate check
-        is not atomic with its record; that needs no lock, because one handle
-        owns a start timestamp and submits it once."""
-        writes = tuple(sorted(set(write_set)))
+        materialized, and sorted only when it holds a row. Without the lock, a
+        read-only request's duplicate check is not atomic with its record; that
+        needs no lock, because one handle owns a start timestamp and submits it
+        once. The policy is compared with the module alias `_WSI`, since
+        fetching a member through its enum class costs several times a global."""
+        writes = set(write_set)
         table = self.table
-        if not writes:
-            table.check_undecided(start_ts)
-            ack = self._append(KIND_COMMIT, start_ts, start_ts, ())
+        if not writes:  # table.check_undecided and self._append, inlined
+            if start_ts in table.commit_records or start_ts in table.aborted:
+                raise DuplicateRequestError(f"transaction {start_ts} already has a decision")
+            ack = None
+            if self.wal is not None:
+                ack = self.wal.append(WalRecord(KIND_COMMIT, start_ts, start_ts, ()))
             table.commit_records[start_ts] = start_ts
             self._active.discard(start_ts)
             if ack is not None:
                 ack.wait()
-            return CommitDecision(True, start_ts)
-        checked = read_set if self.policy is IsolationPolicy.WSI else writes
+            return _new_tuple(CommitDecision, (True, start_ts, None))
+        writes = tuple(sorted(writes))
+        checked = read_set if self.policy is _WSI else writes
         ack = None
         with self._lock:
             table.check_undecided(start_ts)
@@ -255,7 +267,9 @@ class StatusOracle:
                     self.conflict_aborts += 1
         if ack is not None:
             ack.wait()  # write-ahead discipline: durable before observable
-        return CommitDecision(True, tc) if cause is None else CommitDecision(False, cause=cause)
+        if cause is None:
+            return _new_tuple(CommitDecision, (True, tc, None))
+        return CommitDecision(False, cause=cause)
 
     def commit_ts_of(self, start_ts: int) -> int | None:
         # outcomes are write-once, so this read takes no lock

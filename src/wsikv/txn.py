@@ -7,7 +7,9 @@ sets, and the oracle alone decides which of them the policy checks; abort
 reports the abandonment. A handle that wrote nothing commits at its start
 timestamp, without the oracle's lock. The oracle draws start timestamps,
 installs committed versions in the store and discards aborted ones, so reads
-never consult it. The database only wires the layers together.
+never consult it. The database only wires the layers together. Every handle
+operation compares its state with module aliases of the `HandleState` members,
+since fetching a member through its enum class costs several times a global.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ class HandleState(enum.Enum):
     ABORTED = "aborted"
 
 
+_ACTIVE, _COMMITTED, _ABORTED = HandleState.ACTIVE, HandleState.COMMITTED, HandleState.ABORTED
+
+
 class Transaction:
     """Single-owner handle; not for concurrent use from multiple threads."""
 
@@ -40,11 +45,11 @@ class Transaction:
         self.start_ts = start_ts
         self.read_set: set[bytes] = set()
         self.write_set: set[bytes] = set()
-        self.state = HandleState.ACTIVE
+        self.state = _ACTIVE
         self.commit_ts: int | None = None
 
     def read(self, row: bytes) -> bytes | None:
-        if self.state is not HandleState.ACTIVE:
+        if self.state is not _ACTIVE:
             self._check_active()
         value = self._db.store.snapshot_read(row, self.start_ts)
         # an absent row is still a dependency the transaction acted on
@@ -52,30 +57,30 @@ class Transaction:
         return value
 
     def write(self, row: bytes, value: bytes) -> None:
-        if self.state is not HandleState.ACTIVE:
+        if self.state is not _ACTIVE:
             self._check_active()
         self._db.store.put_tentative(row, self.start_ts, value)
         self.write_set.add(row)
 
     def commit(self) -> CommitDecision:
-        if self.state is not HandleState.ACTIVE:
+        if self.state is not _ACTIVE:
             self._check_active()
         decision = self._db.oracle.submit(self.start_ts, self.write_set, self.read_set)
         # on oracle/WAL failure the exception propagates and the handle stays ACTIVE
         if decision.committed:
-            self.state = HandleState.COMMITTED
+            self.state = _COMMITTED
             self.commit_ts = decision.commit_ts
         else:
-            self.state = HandleState.ABORTED
+            self.state = _ABORTED
         return decision
 
     def abort(self) -> None:
         self._check_active()
         self._db.oracle.report_abort(self.start_ts)
-        self.state = HandleState.ABORTED
+        self.state = _ABORTED
 
     def _check_active(self) -> None:
-        if self.state is not HandleState.ACTIVE:
+        if self.state is not _ACTIVE:
             raise TransactionStateError(f"transaction is {self.state.value}")
 
 

@@ -274,6 +274,56 @@ def test_commit_request_after_conflict_abort_is_rejected():
         oracle.submit(1, set())
 
 
+def test_read_only_commit_request_after_a_read_only_commit_is_rejected():
+    oracle, ts = make_oracle(WSI)
+    start, live = oracle.start(), oracle.start()
+    assert oracle.submit(start, (), {b"x"}).committed
+    with pytest.raises(DuplicateRequestError):
+        oracle.submit(start, ())
+    assert oracle.table.commit_records == {start: start}
+    assert oracle._active == {live}
+    assert oracle.read_only_commits == 1
+
+
+class RefusingLog:
+    """A log that has stopped: every append raises."""
+
+    error = None  # read by start(); a stopped log's own error is not needed here
+
+    def append(self, record):
+        raise OSError("log device gone")
+
+
+def test_read_only_commit_whose_record_is_refused_leaves_no_outcome_and_stays_live():
+    oracle = StatusOracle(TimestampOracle(), WSI, wal=RefusingLog())
+    start = oracle.start()
+    with pytest.raises(OSError):
+        oracle.submit(start, (), {b"x"})
+    assert oracle.table.commit_records == {}
+    assert oracle._active == {start}
+    assert oracle.committed_count == 0
+
+
+def test_every_decision_is_an_ordinary_commit_decision():
+    oracle, ts = make_oracle(SI)
+    reader, loser, winner = oracle.start(), oracle.start(), oracle.start()
+    read_only = oracle.submit(reader, (), {b"x"})
+    writing = oracle.submit(winner, {b"x", b"y"})
+    aborted = oracle.submit(loser, {b"x"})
+    expected = [
+        (read_only, CommitDecision(True, reader), f"committed({reader})"),
+        (writing, CommitDecision(True, ts.last_issued()), f"committed({ts.last_issued()})"),
+        (aborted, CommitDecision(False, cause="conflict"), "aborted"),
+    ]
+    for decision, ordinary, text in expected:
+        assert type(decision) is CommitDecision
+        assert decision == ordinary and hash(decision) == hash(ordinary)
+        assert repr(decision) == repr(ordinary)
+        assert str(decision) == str(ordinary) == text
+        assert decision.cause == ordinary.cause
+    assert [d.cause for d, _, _ in expected] == [None, None, "conflict"]
+
+
 def test_report_abort_is_idempotent_and_respects_commits():
     oracle, ts = make_oracle(WSI)
     ts.next(), ts.next(), ts.next()
@@ -322,6 +372,15 @@ def test_gc_compacts_below_the_oldest_live_start():
     assert kept_after_gc() == [b"f", b"g"]  # none live, but two versions are kept whole
     commit_x(b"h")
     assert kept_after_gc() == [b"h"]
+
+
+def test_gc_without_a_store_collects_nothing():
+    oracle, ts = make_oracle(WSI)
+    start = oracle.start()
+    oracle.gc()
+    assert oracle.submit(start, {b"x"}).committed
+    oracle.gc()
+    assert oracle.table.last_commit == {b"x": ts.last_issued()}
 
 
 def test_gc_bounds_the_versions_of_a_hot_set_that_moves_on_and_goes_cold():
