@@ -27,10 +27,11 @@ from .oracle import (
     DuplicateRequestError,
     IsolationPolicy,
     StatusOracle,
+    recover,
 )
 from .timestamps import TimestampOracle
 from .txn import Database, HandleState, Transaction, TransactionStateError
-from .wal import BatchPolicy, WalRecord, WriteAheadLog, recover
+from .wal import BatchPolicy, WalRecord, WriteAheadLog
 from .workload import RunMetrics, WorkloadSpec, bench_oracle, generate_txn, run
 
 __version__ = "0.1.0"

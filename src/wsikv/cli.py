@@ -7,9 +7,8 @@ import argparse
 import os
 import sys
 
-from . import wal as _wal
 from .history import HistoryParseError, parse, replay_policy, verdict_line
-from .oracle import IsolationPolicy
+from .oracle import IsolationPolicy, recover
 from .workload import (
     BENCH_CSV_HEADER,
     CSV_HEADER,
@@ -156,7 +155,7 @@ def cmd_bench_oracle(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    table, highest = _wal.recover(args.path, capacity=args.capacity)
+    table, highest = recover(args.path, capacity=args.capacity)
     print(f"commit_records={len(table.commit_records)}")
     print(f"aborted={len(table.aborted)}")
     print(f"tracked_rows={len(table.last_commit)}")

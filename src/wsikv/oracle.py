@@ -25,23 +25,28 @@ oldest live start is the garbage-collection watermark.
 The oracle's lock is the one lock of shared transaction state: every draw of
 a timestamp, every writing or aborting decision, every install in the store
 and every compaction of it runs inside it, so the timestamp oracle and the
-store have no lock of their own. A read-only commit takes no lock and draws
-no timestamp: it appends its record under the log's own lock, then stores its
-outcome and leaves the live set in one atomic operation each (see the store's
-list (c)). No log flush is waited for while the lock is held: a decision or
-a start only appends to the log inside it and waits for durability after
-releasing it.
+store have no lock of their own, and the oracle builds both and its commit
+table itself. Opening it on a log is recovery: `replay` rebuilds the table
+from the records the log read, and timestamps resume above the highest
+persisted reservation; `recover` does the same from a log file, read-only.
+A read-only commit takes no lock and draws no timestamp: it appends its
+record under the log's own lock, then stores its outcome and leaves the live
+set in one atomic operation each (see the store's list (c)). No log flush is
+waited for while the lock is held: a decision or a start only appends to the
+log inside it and waits for durability after releasing it.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import os
 import threading
 from typing import NamedTuple
 
-from .timestamps import TimestampOracle
-from .wal import KIND_ABORT, KIND_COMMIT, WalRecord
+from .mvstore import VersionedStore
+from .timestamps import DEFAULT_BLOCK_SIZE, TimestampOracle
+from .wal import KIND_ABORT, KIND_COMMIT, WalClosedError, WalRecord, read_records
 
 RowId = bytes
 
@@ -135,18 +140,41 @@ class CommitTable:
         self.aborted.add(start_ts)
 
 
+def replay(records, capacity: int | None = None):
+    """(CommitTable, highest persisted timestamp reservation) rebuilt from log
+    records in append order. The table is built with the given capacity so
+    eviction and the watermark replay the same way they were produced."""
+    table = CommitTable(capacity=capacity)
+    highest = 0
+    for rec in records:
+        if rec.kind == KIND_COMMIT:
+            table.apply_commit(rec.start_ts, rec.commit_ts, rec.rows)
+        elif rec.kind == KIND_ABORT:
+            table.record_abort(rec.start_ts)
+        else:
+            highest = max(highest, rec.reserved_up_to)
+    return table, highest
+
+
+def recover(path: str | os.PathLike, capacity: int | None = None):
+    """replay() of the log at `path`, which is read and left unmodified."""
+    return replay(read_records(path), capacity)
+
+
 class StatusOracle:
     """Decides each request that writes in one critical section.
 
-    The conflict check, commit-timestamp draw, last-committer update and
-    installation of the committed versions in `store` (or the purge of an
-    aborted writer's versions) form one atomic step; start() draws start
-    timestamps and registers them as live, and gc() cuts the store's rows
-    holding three or more versions, inside the same lock. A request that
-    writes nothing commits outside it, at its start timestamp. A decision is
-    appended to the write-ahead log before it changes any state, so a record
-    that cannot be logged leaves the oracle as it was; appending only
-    buffers, and the caller waits for durability after the lock is released.
+    It builds its commit table, replayed from the records `wal` read when it
+    was opened, its timestamp oracle and its store. The conflict check,
+    commit-timestamp draw, last-committer update and installation of the
+    committed versions in `store` (or the purge of an aborted writer's
+    versions) form one atomic step; start() draws start timestamps and
+    registers them as live, and gc() cuts the store's rows holding three or
+    more versions, inside the same lock. A request that writes nothing
+    commits outside it, at its start timestamp. A decision is appended to the
+    write-ahead log before it changes any state, so a record that cannot be
+    logged leaves the oracle as it was; appending only buffers, and the
+    caller waits for durability after the lock is released.
 
     `committed_count` and `read_only_commits` are exact once no decision is
     in flight: writing commits are counted under the lock, and every commit
@@ -155,19 +183,19 @@ class StatusOracle:
 
     def __init__(
         self,
-        timestamps: TimestampOracle,
         policy: IsolationPolicy = IsolationPolicy.WSI,
         *,
         capacity: int | None = None,
         wal=None,
-        table: CommitTable | None = None,
-        store=None,
+        block_size: int = DEFAULT_BLOCK_SIZE,
     ):
-        self.timestamps = timestamps
-        self.store = store
+        records = wal.recovered if wal is not None else []
+        self.table, highest = replay(records, capacity)
+        records.clear()  # replayed into the table; not kept twice
+        self.timestamps = TimestampOracle(wal, block_size, start_after=highest)
+        self.store = VersionedStore()
         self.policy = policy
         self.wal = wal
-        self.table = table if table is not None else CommitTable(capacity=capacity)
         self._lock = threading.Lock()
         self._active: set[int] = set()  # start timestamps not yet decided
         self._records_at_open = len(self.table.commit_records)
@@ -188,10 +216,12 @@ class StatusOracle:
         installed at that moment. Return it once its block's reservation is
         durable, waited for after the lock is released. Once the log has
         failed, raise its error: no reader may see a commit whose record may
-        not be durable."""
+        not be durable. Once it is closed, raise WalClosedError wherever
+        issuance is in its block; either way nothing is drawn."""
         with self._lock:
-            if self.wal is not None and self.wal.error is not None:
-                raise self.wal.error
+            wal = self.wal
+            if wal is not None and (wal.error is not None or wal.closed):
+                raise wal.error or WalClosedError("begin on a closed log")
             ts = self.timestamps.next()
             self._active.add(ts)
             reserved = self.timestamps.block_ack
@@ -205,8 +235,6 @@ class StatusOracle:
         reader starts below it. Inside the lock, `compact` walks only the rows
         holding three or more versions, so the stall every begin and writing
         commit waits for grows with those rows, not with the whole store."""
-        if self.store is None:
-            return
         with self._lock:
             # read-only commits leave _active without the lock: one call reads it
             self.store.compact(min(self._active, default=self.timestamps.last_issued() + 1))
@@ -295,8 +323,7 @@ class StatusOracle:
         tc = self.timestamps.next()
         ack = self._append(KIND_COMMIT, start_ts, tc, rows)
         self.table.apply_commit(start_ts, tc, rows)
-        if self.store is not None:
-            self.store.install(start_ts, tc)
+        self.store.install(start_ts, tc)
         self._active.discard(start_ts)
         self._writing_commits += 1
         return tc, ack
@@ -304,8 +331,7 @@ class StatusOracle:
     def _abort_locked(self, start_ts: int):
         ack = self._append(KIND_ABORT, start_ts)
         self.table.record_abort(start_ts)
-        if self.store is not None:
-            self.store.purge_aborted(start_ts)
+        self.store.purge_aborted(start_ts)
         self._active.discard(start_ts)
         return ack
 

@@ -12,8 +12,9 @@ an earlier flush before issuance reaches its block. `block_ack` acknowledges
 the reservation of the block issuance is in: StatusOracle.start() waits for
 it after releasing its lock, while a commit timestamp needs no wait of its
 own, because the commit's record follows the reservation in the log and the
-committer waits for that record. After a crash, issuance resumes above the
-highest persisted reservation, so an abandoned block is never reused.
+committer waits for that record. After a crash the status oracle builds it
+with `start_after` set to the highest persisted reservation, so issuance
+resumes above it and an abandoned block is never reused.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Client transaction API binding the store, the timestamp source, and the oracle.
+"""Client transaction API over the status oracle and the store it builds.
 
 A transaction reads from the snapshot fixed by its start timestamp, buffers
 writes as tentative versions, and tracks the row identifiers it actually read
@@ -7,19 +7,19 @@ sets, and the oracle alone decides which of them the policy checks; abort
 reports the abandonment. A handle that wrote nothing commits at its start
 timestamp, without the oracle's lock. The oracle draws start timestamps,
 installs committed versions in the store and discards aborted ones, so reads
-never consult it. The database only wires the layers together. Every handle
-operation compares its state with module aliases of the `HandleState` members,
-since fetching a member through its enum class costs several times a global.
+never consult it. The database only opens the oracle, which builds the
+timestamp source and the store. Every handle operation compares its state
+with module aliases of the `HandleState` members, since fetching a member
+through its enum class costs several times a global.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .mvstore import VersionedStore
 from .oracle import CommitDecision, IsolationPolicy, StatusOracle
-from .timestamps import DEFAULT_BLOCK_SIZE, TimestampOracle
-from . import wal as _wal
+from .timestamps import DEFAULT_BLOCK_SIZE
+from .wal import WriteAheadLog
 
 
 class TransactionStateError(RuntimeError):
@@ -87,9 +87,10 @@ class Transaction:
 class Database:
     """Embeddable transactional layer over the multi-version store.
 
-    Opening a database on a log recovers it: the records the log read when it
-    was opened are replayed into the commit table, and timestamps resume above
-    the highest persisted reservation, so none is issued twice.
+    Opening a database on a log recovers it: its status oracle replays the
+    records the log read when it was opened into the commit table, and
+    resumes timestamps above the highest persisted reservation, so none is
+    issued twice. `timestamps` and `store` are the oracle's own.
     """
 
     def __init__(
@@ -101,14 +102,8 @@ class Database:
         block_size: int = DEFAULT_BLOCK_SIZE,
     ):
         self.wal = wal
-        records = wal.recovered if wal is not None else []
-        table, highest = _wal.replay(records, capacity)
-        records.clear()  # replayed into the table; not kept twice
-        self.timestamps = TimestampOracle(
-            wal=wal, block_size=block_size, start_after=highest
-        )
-        self.store = VersionedStore()
-        self.oracle = StatusOracle(self.timestamps, policy, wal=wal, table=table, store=self.store)
+        self.oracle = StatusOracle(policy, capacity=capacity, wal=wal, block_size=block_size)
+        self.timestamps, self.store = self.oracle.timestamps, self.oracle.store
 
     @classmethod
     def recover(
@@ -122,7 +117,7 @@ class Database:
         """Shorthand for a database opened on `WriteAheadLog(path)`, which
         recovers oracle state from the log and resumes appending to it. The
         store itself is not persisted; only oracle state survives a crash."""
-        return cls(policy, capacity=capacity, wal=_wal.WriteAheadLog(path), block_size=block_size)
+        return cls(policy, capacity=capacity, wal=WriteAheadLog(path), block_size=block_size)
 
     def begin(self) -> Transaction:
         return Transaction(self, self.oracle.start())

@@ -1,5 +1,5 @@
 """Durable write-ahead log: batch-framed records in a preallocated file, group
-commit by the waiters, replay recovery.
+commit by the waiters. The status oracle replays the records it reads back.
 
 On-disk layout (version 2): the 8-byte magic `WSIWAL02`, then one batch per
 flush. A batch is a 20-byte header followed by its body:
@@ -231,35 +231,6 @@ def read_records(path: str | os.PathLike) -> list[WalRecord]:
     return records
 
 
-def recover(path: str | os.PathLike, capacity: int | None = None):
-    """Rebuild oracle state from the log at `path` without modifying it.
-
-    Returns (CommitTable, highest persisted timestamp reservation).
-    """
-    return replay(read_records(path), capacity)
-
-
-def replay(records, capacity: int | None = None):
-    """Rebuild oracle state from records in append order.
-
-    Returns (CommitTable, highest persisted timestamp reservation). The table
-    is built with the given capacity so eviction and the watermark replay the
-    same way they were produced.
-    """
-    from .oracle import CommitTable  # deferred: oracle imports this module
-
-    table = CommitTable(capacity=capacity)
-    highest = 0
-    for rec in records:
-        if rec.kind == KIND_COMMIT:
-            table.apply_commit(rec.start_ts, rec.commit_ts, rec.rows)
-        elif rec.kind == KIND_ABORT:
-            table.record_abort(rec.start_ts)
-        else:
-            highest = max(highest, rec.reserved_up_to)
-    return table, highest
-
-
 def _create(path: str) -> None:
     """Make `path` a new, empty log atomically: the magic is written to a
     temporary file, which is synced and renamed over `path`, and then the
@@ -299,22 +270,23 @@ class WriteAheadLog:
     stored `error`, and nothing more is written.
 
     Opening an existing log reads it once: its intact records are kept in
-    `recovered` for replay, and the file is cut back to the end of the last
-    intact batch, so new appends start at a clean boundary. A file holding only
-    part of the magic is a log whose creation crashed and is created anew.
-    `policy` is accepted and ignored (see BatchPolicy).
+    `recovered` for the status oracle to replay, and the file is cut back to
+    the end of the last intact batch, so new appends start at a clean
+    boundary. A file holding only part of the magic is a log whose creation
+    crashed and is created anew. After close() every append raises
+    WalClosedError. `policy` is accepted and ignored (see BatchPolicy).
     """
 
     def __init__(self, path: str | os.PathLike, policy: BatchPolicy | None = None):
         self.path = str(path)
         self.flush_count = 0
         self.error: WalError | None = None
-        self._lock = threading.Lock()  # guards the buffer, _appended and _closed
+        self._lock = threading.Lock()  # guards the buffer, _appended and closed
         self._flush_lock = threading.Lock()  # held by the waiter that writes and syncs
         self._buf: list[bytes] = []
         self._appended = 0  # sequence number of the last appended record
         self._durable = 0  # sequence number of the last durable record
-        self._closed = False
+        self.closed = False
         data = b""
         if os.path.exists(self.path):
             with open(self.path, "rb") as f:
@@ -337,7 +309,7 @@ class WriteAheadLog:
         with self._lock:
             if self.error is not None:
                 raise self.error
-            if self._closed:
+            if self.closed:
                 raise WalClosedError("append to closed log")
             self._buf.append(frame)
             self._appended += 1
@@ -347,9 +319,9 @@ class WriteAheadLog:
         """Flush what is still buffered, trim the zero tail and close the file;
         idempotent."""
         with self._lock:
-            if self._closed:
+            if self.closed:
                 return
-            self._closed = True
+            self.closed = True
             last = self._appended
         try:
             self._wait(last)

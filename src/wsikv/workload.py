@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass
 
 from .oracle import IsolationPolicy, StatusOracle
-from .timestamps import TimestampOracle
 from .txn import Database
 from .wal import WriteAheadLog
 
@@ -341,7 +340,8 @@ def bench_oracle(
     capacity: int | None = None,
     seed: int = 0,
 ) -> BenchResult:
-    """Drive the status oracle directly with synthetic commit requests."""
+    """Drive the status oracle, built as a database builds it, directly with
+    synthetic commit requests; each decision installs or purges in its store."""
     if clients < 1:
         raise ValueError("clients must be >= 1")
     if requests < 0:
@@ -350,7 +350,7 @@ def bench_oracle(
         raise ValueError("rows_per_txn must be >= 0")
     if key_space < 1:
         raise ValueError("key_space must be >= 1")
-    oracle = StatusOracle(TimestampOracle(), policy, capacity=capacity)
+    oracle = StatusOracle(policy, capacity=capacity)
 
     def worker(idx: int, share: int, ready) -> tuple[int, list[float]]:
         rng = random.Random(seed * 7_654_321 + idx)

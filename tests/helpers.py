@@ -11,7 +11,6 @@ import random
 
 from wsikv.history import History, HistoryEvent
 from wsikv.oracle import IsolationPolicy, StatusOracle
-from wsikv.timestamps import TimestampOracle
 
 ITEMS = "abcd"
 
@@ -87,8 +86,8 @@ def drive_schedule(schedule, policy: IsolationPolicy, capacity: int | None = Non
     Returns (decisions by txn index, oracle, start ts by txn index, requests
     by txn index).
     """
-    timestamps = TimestampOracle()
-    oracle = StatusOracle(timestamps, policy, capacity=capacity)
+    oracle = StatusOracle(policy, capacity=capacity)
+    timestamps = oracle.timestamps
     starts: dict[int, int] = {}
     requests: dict[int, tuple[frozenset, frozenset]] = {}
     decisions = {}

@@ -24,10 +24,10 @@ from wsikv.history import (
     verdict_line,
     view_equivalent,
 )
-from wsikv.oracle import IsolationPolicy, StatusOracle
+from wsikv.oracle import IsolationPolicy, StatusOracle, recover
 from wsikv.timestamps import TimestampOracle
 from wsikv.txn import Database
-from wsikv.wal import WriteAheadLog, recover
+from wsikv.wal import WriteAheadLog
 from wsikv.workload import WorkloadSpec, bench_oracle, run
 
 SI, WSI = IsolationPolicy.SI, IsolationPolicy.WSI
@@ -173,11 +173,9 @@ def _differential_stream(seed: int, policy: IsolationPolicy, capacities):
     """
     rng = random.Random(seed)
     schedule = random_schedule(rng, n_txns=30, n_rows=24, max_live=8)
-    timestamps = TimestampOracle()
-    unbounded = StatusOracle(timestamps, policy)
-    shadows = {
-        cap: StatusOracle(TimestampOracle(), policy, capacity=cap) for cap in capacities
-    }
+    unbounded = StatusOracle(policy)
+    timestamps = unbounded.timestamps
+    shadows = {cap: StatusOracle(policy, capacity=cap) for cap in capacities}
     twins = {cap: TableTwin(cap) for cap in capacities}
     starts: dict[int, int] = {}
     violations = []
@@ -228,9 +226,9 @@ def test_c5_bounded_differential(capsys):
         # that holds every row of the schedule and so never evicts
         rng = random.Random(seed)
         schedule = random_schedule(rng, n_txns=12, n_rows=8)
-        ts_a, ts_b = TimestampOracle(), TimestampOracle()
-        via_policy = StatusOracle(ts_a, policy)
-        via_bounded = StatusOracle(ts_b, policy, capacity=8)
+        via_policy = StatusOracle(policy)
+        via_bounded = StatusOracle(policy, capacity=8)
+        ts_a, ts_b = via_policy.timestamps, via_bounded.timestamps
         starts_a: dict[int, int] = {}
         starts_b: dict[int, int] = {}
         same = True
@@ -273,8 +271,7 @@ def test_c6_crash_recovery_equivalence(tmp_path, capsys):
         target = rng.randint(1, 1000)
         path = tmp_path / f"crash{trial}.wal"
         wal = WriteAheadLog(path)
-        timestamps = TimestampOracle(wal, block_size=64)
-        oracle = StatusOracle(timestamps, WSI, capacity=16, wal=wal)
+        oracle = StatusOracle(WSI, capacity=16, wal=wal, block_size=64)
         twin = TableTwin(16)
         issued: list[int] = []
         live: list[int] = []

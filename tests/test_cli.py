@@ -132,6 +132,7 @@ def test_replay_into_a_closed_pipe_stops_quietly(tmp_path):
     assert proc.stdout.readline().startswith(b"r1[x] r2[x]")
     proc.stdout.close()  # as `head -1` does after its line
     err = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=60) == 141  # 128 + SIGPIPE
     assert err == b""  # no error line and no traceback
 

@@ -12,7 +12,6 @@ from helpers import (
     si_safety_violations,
     wsi_safety_violations,
 )
-from wsikv.mvstore import VersionedStore
 from wsikv.oracle import (
     AlreadyCommittedError,
     CommitDecision,
@@ -21,14 +20,14 @@ from wsikv.oracle import (
     IsolationPolicy,
     StatusOracle,
 )
-from wsikv.timestamps import TimestampOracle
+from wsikv.wal import KIND_TS_RESERVE
 
 SI, WSI = IsolationPolicy.SI, IsolationPolicy.WSI
 
 
-def make_oracle(policy, capacity=None, start_after=0, table=None):
-    timestamps = TimestampOracle(start_after=start_after)
-    return StatusOracle(timestamps, policy, capacity=capacity, table=table), timestamps
+def make_oracle(policy, capacity=None):
+    oracle = StatusOracle(policy, capacity=capacity)
+    return oracle, oracle.timestamps
 
 
 # -- snapshot isolation --------------------------------------------------------
@@ -171,14 +170,15 @@ def test_read_only_never_aborted_even_under_heavy_conflicts():
 
 
 def seeded_bounded_oracle(policy=WSI):
-    """lastCommit={a:5, b:6}, t_max=4, capacity=2."""
-    table = CommitTable(capacity=2)
+    """lastCommit={a:5, b:6}, t_max=4, capacity=2; timestamps 1-6 drawn."""
+    oracle, ts = make_oracle(policy, capacity=2)
+    table = oracle.table
     table.apply_commit(101, 4, (b"c",))
     table.apply_commit(102, 5, (b"a",))
     table.apply_commit(103, 6, (b"b",))  # evicts c@4
     assert table.last_commit == {b"a": 5, b"b": 6}
     assert table.t_max == 4
-    oracle, ts = make_oracle(policy, table=table, start_after=6)
+    assert [ts.next() for _ in range(6)][-1] == 6
     return oracle, ts
 
 
@@ -286,16 +286,24 @@ def test_read_only_commit_request_after_a_read_only_commit_is_rejected():
 
 
 class RefusingLog:
-    """A log that has stopped: every append raises."""
+    """A new log that takes timestamp reservations, acknowledged at once, and
+    refuses every decision record."""
 
     error = None  # read by start(); a stopped log's own error is not needed here
+    closed = False
+    recovered = []  # a new log: nothing to replay
 
     def append(self, record):
-        raise OSError("log device gone")
+        if record.kind != KIND_TS_RESERVE:
+            raise OSError("log device gone")
+        return self
+
+    def wait(self):
+        return None
 
 
 def test_read_only_commit_whose_record_is_refused_leaves_no_outcome_and_stays_live():
-    oracle = StatusOracle(TimestampOracle(), WSI, wal=RefusingLog())
+    oracle = StatusOracle(WSI, wal=RefusingLog())
     start = oracle.start()
     with pytest.raises(OSError):
         oracle.submit(start, (), {b"x"})
@@ -336,8 +344,8 @@ def test_report_abort_is_idempotent_and_respects_commits():
 
 
 def test_gc_compacts_below_the_oldest_live_start():
-    store = VersionedStore()
-    oracle = StatusOracle(TimestampOracle(), SI, store=store)
+    oracle = StatusOracle(SI)
+    store = oracle.store
 
     def commit_x(value):
         start = oracle.start()
@@ -374,22 +382,13 @@ def test_gc_compacts_below_the_oldest_live_start():
     assert kept_after_gc() == [b"h"]
 
 
-def test_gc_without_a_store_collects_nothing():
-    oracle, ts = make_oracle(WSI)
-    start = oracle.start()
-    oracle.gc()
-    assert oracle.submit(start, {b"x"}).committed
-    oracle.gc()
-    assert oracle.table.last_commit == {b"x": ts.last_issued()}
-
-
 def test_gc_bounds_the_versions_of_a_hot_set_that_moves_on_and_goes_cold():
     # Each gc interval writes a fresh hot set many times, and the last one
     # once more; a set is then never written again. After every gc the store
     # holds at most 2 x rows + the versions committed at or above the
     # watermark, with a reader pinning the watermark or without one.
-    store = VersionedStore()
-    oracle = StatusOracle(TimestampOracle(), SI, store=store)
+    oracle = StatusOracle(SI)
+    store = oracle.store
     hot_sets = [[b"r%03d" % (5 * k + i) for i in range(5)] for k in range(24)]
 
     def commit(rows, value):
@@ -496,9 +495,9 @@ def test_closed_loop_bounded_oracle_can_diverge_beyond_subsets():
     tables observe the same commit history (which the differential acceptance
     harness enforces); this test pins the closed-loop counterexample.
     """
-    ts_u, ts_b = TimestampOracle(), TimestampOracle()
-    unbounded = StatusOracle(ts_u, SI)
-    bounded = StatusOracle(ts_b, SI, capacity=1)
+    unbounded = StatusOracle(SI)
+    bounded = StatusOracle(SI, capacity=1)
+    ts_u, ts_b = unbounded.timestamps, bounded.timestamps
 
     def begin():
         a, b = ts_u.next(), ts_b.next()

@@ -4,9 +4,9 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
-from wsikv.oracle import StatusOracle
+from wsikv.oracle import StatusOracle, recover
 from wsikv.timestamps import TimestampOracle
-from wsikv.wal import KIND_TS_RESERVE, WriteAheadLog, read_records, recover
+from wsikv.wal import KIND_TS_RESERVE, WriteAheadLog, read_records
 
 
 def reservations(path):
@@ -23,8 +23,7 @@ def test_concurrent_next_values_are_unique(tmp_path):
     # commits; blocks of 100 make the starts that enter one wait for a
     # reservation outside the lock while others draw
     wal = WriteAheadLog(tmp_path / "ts.wal")
-    ts = TimestampOracle(wal, block_size=100)
-    oracle = StatusOracle(ts, wal=wal)
+    oracle = StatusOracle(wal=wal, block_size=100)
     out = []
     lock = threading.Lock()
 
@@ -59,8 +58,8 @@ def test_block_serves_next_without_new_persistence(tmp_path, monkeypatch):
     appended = []
     append = wal.append
     monkeypatch.setattr(wal, "append", lambda rec: appended.append(rec.reserved_up_to) or append(rec))
-    ts = TimestampOracle(wal, block_size=1000)
-    oracle = StatusOracle(ts, wal=wal)
+    oracle = StatusOracle(wal=wal, block_size=1000)
+    ts = oracle.timestamps
     assert appended == [1000] and wal.flush_count == 0  # creating it waits for nothing
     # the first start enters the block: it appends the next block's
     # reservation, then waits for its own block's outside the lock, and that
@@ -87,7 +86,7 @@ def test_block_serves_next_without_new_persistence(tmp_path, monkeypatch):
 
 def test_block_size_one_persists_each_timestamp(tmp_path):
     wal = WriteAheadLog(tmp_path / "ts.wal")
-    oracle = StatusOracle(TimestampOracle(wal, block_size=1), wal=wal)
+    oracle = StatusOracle(wal=wal, block_size=1)
     for i in range(1, 6):
         assert oracle.start() == i
         # i's own reservation is durable; an odd start flushes it together
@@ -105,7 +104,7 @@ def test_block_size_one_persists_each_timestamp(tmp_path):
 def test_recovery_resumes_above_highest_reservation(tmp_path):
     path = tmp_path / "ts.wal"
     wal = WriteAheadLog(path)
-    oracle = StatusOracle(TimestampOracle(wal, block_size=1000), wal=wal)
+    oracle = StatusOracle(wal=wal, block_size=1000)
     for _ in range(10):
         oracle.start()  # crash mid-block: only 10 of 1000 issued
     # a crash now keeps only what is durable: the first start's flush carried
@@ -116,7 +115,7 @@ def test_recovery_resumes_above_highest_reservation(tmp_path):
     _, highest = recover(crashed)
     assert highest == 2000
     wal2 = WriteAheadLog(crashed)
-    assert StatusOracle(TimestampOracle(wal2, start_after=highest), wal=wal2).start() == 2001
+    assert StatusOracle(wal=wal2).start() == 2001
     wal2.close()
     # entering the second block appends the third's reservation without
     # waiting; closing makes it durable, so recovery skips that block too
@@ -127,7 +126,7 @@ def test_recovery_resumes_above_highest_reservation(tmp_path):
     _, highest = recover(path)
     assert highest == 3000
     wal3 = WriteAheadLog(path)
-    value = StatusOracle(TimestampOracle(wal3, start_after=highest), wal=wal3).start()
+    value = StatusOracle(wal=wal3).start()
     wal3.close()
     assert value == 3001
 

@@ -8,9 +8,9 @@ import time
 import pytest
 
 from wsikv import wal as wal_module
-from wsikv.oracle import AlreadyCommittedError, IsolationPolicy
+from wsikv.oracle import AlreadyCommittedError, IsolationPolicy, recover
 from wsikv.txn import Database, HandleState, TransactionStateError
-from wsikv.wal import KIND_COMMIT, WalError, WriteAheadLog, read_records
+from wsikv.wal import KIND_COMMIT, WalClosedError, WalError, WriteAheadLog, read_records
 
 SI, WSI = IsolationPolicy.SI, IsolationPolicy.WSI
 
@@ -21,6 +21,26 @@ def test_begin_yields_increasing_starts_and_empty_sets():
     assert a.start_ts < b.start_ts
     assert a.read_set == set() and a.write_set == set()
     assert a.state is HandleState.ACTIVE
+
+
+def test_the_database_runs_the_oracles_own_timestamps_and_store():
+    db = Database(WSI)
+    assert db.store is db.oracle.store
+    assert db.timestamps is db.oracle.timestamps
+
+
+def test_begin_on_a_closed_durable_database_raises_and_draws_nothing(tmp_path):
+    # with blocks of 2 the next draw alternately enters a block and stays in one
+    for draws in range(4):
+        db = Database(WSI, wal=WriteAheadLog(tmp_path / f"db{draws}.wal"), block_size=2)
+        for _ in range(draws):
+            assert db.begin().commit().committed
+        db.close()
+        state = (db.timestamps.last_issued(), db.timestamps.reserved_up_to)
+        with pytest.raises(WalClosedError):
+            db.begin()
+        assert db.oracle._active == set()
+        assert (db.timestamps.last_issued(), db.timestamps.reserved_up_to) == state
 
 
 def test_concurrent_begins_yield_distinct_starts():
@@ -199,6 +219,7 @@ class _CommitFailWal:
     """Reservations persist fine; commit records fail at flush time."""
 
     error = None  # what a failed WriteAheadLog would raise from then on
+    closed = False
     recovered = []  # a new log: nothing to replay
 
     def append(self, rec):
@@ -269,7 +290,7 @@ def test_opening_a_database_on_a_log_recovers_it(tmp_path):
         h.commit()
     db.begin().abort()
     db.close()
-    table, highest = wal_module.recover(path)
+    table, highest = recover(path)
     assert table.commit_records and table.aborted
     copy = tmp_path / "copy.wal"
     shutil.copy(path, copy)

@@ -1,5 +1,7 @@
 import errno
 import os
+import random
+import shutil
 import stat
 import sys
 import threading
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wsikv import wal as wal_module
-from wsikv.oracle import CommitTable, IsolationPolicy, StatusOracle
+from wsikv.oracle import CommitTable, IsolationPolicy, StatusOracle, recover
 from wsikv.timestamps import TimestampOracle
 from wsikv.txn import Database, HandleState
 from wsikv.wal import (
@@ -26,7 +28,6 @@ from wsikv.wal import (
     WriteAheadLog,
     decode_payload,
     read_records,
-    recover,
 )
 
 WSI = IsolationPolicy.WSI
@@ -276,10 +277,8 @@ def test_new_log_is_created_atomically(tmp_path, monkeypatch):
 def test_recovery_matches_live_oracle_state(tmp_path):
     path = tmp_path / "x.wal"
     wal = WriteAheadLog(path)
-    timestamps = TimestampOracle(wal, block_size=50)
-    oracle = StatusOracle(timestamps, IsolationPolicy.WSI, capacity=4, wal=wal)
-    import random
-
+    oracle = StatusOracle(IsolationPolicy.WSI, capacity=4, wal=wal, block_size=50)
+    timestamps = oracle.timestamps
     rng = random.Random(7)
     rows = [bytes([65 + i]) for i in range(8)]
     for _ in range(120):
@@ -294,6 +293,31 @@ def test_recovery_matches_live_oracle_state(tmp_path):
     assert table.commit_records == oracle.table.commit_records
     assert table.aborted == oracle.table.aborted
     assert highest >= timestamps.last_issued()
+
+
+def test_an_oracle_opened_on_a_crashed_log_is_what_recover_reads(tmp_path):
+    path = tmp_path / "x.wal"
+    live = StatusOracle(IsolationPolicy.WSI, capacity=4, wal=WriteAheadLog(path), block_size=8)
+    rng = random.Random(11)
+    rows = [bytes([65 + i]) for i in range(8)]
+    for _ in range(60):
+        start = live.start()
+        live.submit(start, frozenset(rng.sample(rows, rng.randint(0, 3))), ())
+        if rng.random() < 0.2:
+            live.report_abort(live.start())
+    crashed = tmp_path / "crashed.wal"
+    shutil.copyfile(path, crashed)  # a crash keeps what is durable, and every decision was
+    live.wal.close()
+    table, highest = recover(crashed, capacity=4)
+    assert table.commit_records and table.aborted and table.t_max > 0
+    assert highest >= live.timestamps.last_issued()
+    wal = WriteAheadLog(crashed)
+    oracle = StatusOracle(IsolationPolicy.WSI, capacity=4, wal=wal, block_size=8)
+    for field in ("commit_records", "aborted", "last_commit", "t_max"):
+        assert getattr(oracle.table, field) == getattr(table, field), field
+    assert wal.recovered == []
+    assert oracle.start() == highest + 1
+    wal.close()
 
 
 def test_recovery_is_idempotent_across_rewrite(tmp_path):

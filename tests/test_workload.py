@@ -6,8 +6,8 @@ from collections import Counter
 import pytest
 
 import wsikv.workload
-from wsikv.oracle import IsolationPolicy, StatusOracle
-from wsikv.wal import KIND_ABORT, KIND_COMMIT, read_records, recover
+from wsikv.oracle import IsolationPolicy, StatusOracle, recover
+from wsikv.wal import KIND_ABORT, KIND_COMMIT, read_records
 from wsikv.workload import (
     DISTRIBUTIONS,
     MIXES,
