@@ -157,7 +157,6 @@ def cmd_bench_oracle(args) -> int:
 def cmd_recover(args) -> int:
     table, highest = recover(args.path, capacity=args.capacity)
     print(f"commit_records={len(table.commit_records)}")
-    print(f"aborted={len(table.aborted)}")
     print(f"tracked_rows={len(table.last_commit)}")
     print(f"t_max={table.t_max}")
     print(f"reserved_up_to={highest}")

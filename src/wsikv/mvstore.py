@@ -30,9 +30,9 @@ and bisects the list by the reader's start otherwise. That is safe because:
     installed before it fetched the list, and a version appended while it
     bisects lands above its start;
 (c) a single `dict.get`, dict store or pop, `dict.copy`, list append or
-    `list[-1]`, set add or discard, and `min` over a set of ints is atomic
-    in CPython. The last three serve the oracle's live set: `gc()` reads it
-    while read-only commits discard from it without the oracle's lock.
+    `list[-1]`, set add, discard or membership test, and `min` over a set of
+    ints is atomic in CPython. The set ones serve the oracle's live set:
+    `gc()` reads it while read-only commits test and discard without a lock.
 
 Garbage collection walks only the rows holding three or more versions, which
 `install` lists in `_long` as each reaches three. `compact(low_watermark)`

@@ -1,4 +1,4 @@
-"""Status oracle: conflict detection, commit timestamps, transaction outcomes.
+"""Status oracle: conflict detection, commit timestamps, commit outcomes.
 
 Every commit request goes through `StatusOracle.submit` with both of its
 row-identifier sets, and the oracle alone applies the isolation policy.
@@ -20,7 +20,10 @@ critical section that decides a commit and installs its versions in the
 store, so no transaction starts while a commit is half installed and the
 store decides visibility without the oracle. A started transaction stays
 live until its decision, which installs its writes or discards them, and the
-oldest live start is the garbage-collection watermark.
+oldest live start is the garbage-collection watermark; only a live start
+may be decided. Aborts are presumed, as in R* (Mohan et al., TODS 1986): the
+log and the table hold commits only, a start without a commit record is
+aborted, and an abort logs, stores and waits for nothing.
 
 The oracle's lock is the one lock of shared transaction state: every draw of
 a timestamp, every writing or aborting decision, every install in the store
@@ -32,7 +35,7 @@ persisted reservation; `recover` does the same from a log file, read-only.
 A read-only commit takes no lock and draws no timestamp: it appends its
 record under the log's own lock, then stores its outcome and leaves the live
 set in one atomic operation each (see the store's list (c)). No log flush is
-waited for while the lock is held: a decision or a start only appends to the
+waited for while the lock is held: a commit or a start only appends to the
 log inside it and waits for durability after releasing it.
 """
 
@@ -46,7 +49,7 @@ from typing import NamedTuple
 
 from .mvstore import VersionedStore
 from .timestamps import DEFAULT_BLOCK_SIZE, TimestampOracle
-from .wal import KIND_ABORT, KIND_COMMIT, WalClosedError, WalRecord, read_records
+from .wal import KIND_COMMIT, KIND_TS_RESERVE, WalClosedError, WalRecord, read_records
 
 RowId = bytes
 
@@ -56,11 +59,7 @@ class OracleError(RuntimeError):
 
 
 class DuplicateRequestError(OracleError):
-    """A commit request arrived for a start timestamp that is already decided."""
-
-
-class AlreadyCommittedError(OracleError):
-    """report_abort targeted a committed transaction."""
+    """A decision was requested for a start timestamp that is not live."""
 
 
 class IsolationPolicy(enum.Enum):
@@ -89,7 +88,7 @@ _new_tuple = tuple.__new__  # builds a CommitDecision without its generated __ne
 
 
 class CommitTable:
-    """Last-committer map plus transaction outcome records.
+    """Last-committer map plus commit outcome records.
 
     When capacity is bounded, inserting beyond it evicts the entries with the
     smallest commit timestamps and folds them into t_max, so t_max is exactly
@@ -108,12 +107,11 @@ class CommitTable:
         self.last_commit: dict[RowId, int] = {}
         self.t_max = 0
         self.commit_records: dict[int, int] = {}
-        self.aborted: set[int] = set()
         self._evicted = 0  # evictions since last_commit was last rebuilt
 
-    def check_undecided(self, start_ts: int) -> None:
-        if start_ts in self.commit_records or start_ts in self.aborted:
-            raise DuplicateRequestError(f"transaction {start_ts} already has a decision")
+    # aborts are presumed, never stored; kept only because the frozen benchmark
+    # reads it, as it does wal.BatchPolicy (ROADMAP item 1 removes both)
+    aborted = frozenset()
 
     def apply_commit(self, start_ts: int, commit_ts: int, rows) -> None:
         self.commit_records[start_ts] = commit_ts
@@ -136,22 +134,18 @@ class CommitTable:
                 self.last_commit = dict(last)
                 self._evicted = 0
 
-    def record_abort(self, start_ts: int) -> None:
-        self.aborted.add(start_ts)
-
 
 def replay(records, capacity: int | None = None):
     """(CommitTable, highest persisted timestamp reservation) rebuilt from log
     records in append order. The table is built with the given capacity so
-    eviction and the watermark replay the same way they were produced."""
+    eviction and the watermark replay the same way they were produced. Abort
+    records, which older logs hold, are skipped."""
     table = CommitTable(capacity=capacity)
     highest = 0
     for rec in records:
         if rec.kind == KIND_COMMIT:
             table.apply_commit(rec.start_ts, rec.commit_ts, rec.rows)
-        elif rec.kind == KIND_ABORT:
-            table.record_abort(rec.start_ts)
-        else:
+        elif rec.kind == KIND_TS_RESERVE:
             highest = max(highest, rec.reserved_up_to)
     return table, highest
 
@@ -171,10 +165,12 @@ class StatusOracle:
     versions) form one atomic step; start() draws start timestamps and
     registers them as live, and gc() cuts the store's rows holding three or
     more versions, inside the same lock. A request that writes nothing
-    commits outside it, at its start timestamp. A decision is appended to the
+    commits outside it, at its start timestamp. A commit is appended to the
     write-ahead log before it changes any state, so a record that cannot be
     logged leaves the oracle as it was; appending only buffers, and the
-    caller waits for durability after the lock is released.
+    caller waits for durability after the lock is released. An abort waits
+    for nothing, so its snapshot may hold a commit not yet durable: safe,
+    since an abort promises its client nothing about what it read.
 
     `committed_count` and `read_only_commits` are exact once no decision is
     in flight: writing commits are counted under the lock, and every commit
@@ -197,7 +193,7 @@ class StatusOracle:
         self.policy = policy
         self.wal = wal
         self._lock = threading.Lock()
-        self._active: set[int] = set()  # start timestamps not yet decided
+        self._active: set[int] = set()  # live starts: the only ones a decision admits
         self._records_at_open = len(self.table.commit_records)
         self._writing_commits = 0
         self.conflict_aborts = 0
@@ -252,15 +248,15 @@ class StatusOracle:
         checked row is untracked while t_max is above the start. Either set
         may be any iterable, walked once, so the write set is tested once
         materialized, and sorted only when it holds a row. Without the lock, a
-        read-only request's duplicate check is not atomic with its record; that
+        read-only request's live check is not atomic with its record; that
         needs no lock, because one handle owns a start timestamp and submits it
         once. The policy is compared with the module alias `_WSI`, since
         fetching a member through its enum class costs several times a global."""
         writes = set(write_set)
         table = self.table
-        if not writes:  # table.check_undecided and self._append, inlined
-            if start_ts in table.commit_records or start_ts in table.aborted:
-                raise DuplicateRequestError(f"transaction {start_ts} already has a decision")
+        if not writes:
+            if start_ts not in self._active:
+                raise DuplicateRequestError(f"transaction {start_ts} is not live")
             ack = None
             if self.wal is not None:
                 ack = self.wal.append(WalRecord(KIND_COMMIT, start_ts, start_ts, ()))
@@ -273,7 +269,8 @@ class StatusOracle:
         checked = read_set if self.policy is _WSI else writes
         ack = None
         with self._lock:
-            table.check_undecided(start_ts)
+            if start_ts not in self._active:
+                raise DuplicateRequestError(f"transaction {start_ts} is not live")
             cause = None
             last_commit = table.last_commit
             stale = table.t_max > start_ts  # an untracked row may have committed since
@@ -288,7 +285,7 @@ class StatusOracle:
             if cause is None:
                 tc, ack = self._commit_locked(start_ts, writes)
             else:
-                ack = self._abort_locked(start_ts)
+                self._abort_locked(start_ts)
                 if cause == "pessimistic":
                     self.pessimistic_aborts += 1
                 else:
@@ -304,37 +301,38 @@ class StatusOracle:
         return self.table.commit_records.get(start_ts)
 
     def report_abort(self, start_ts: int) -> None:
-        """Record a client-side abandonment and discard its writes; idempotent."""
-        ack = None
+        """Abort a live transaction at its client's request and discard its
+        writes; a start that is not live raises DuplicateRequestError."""
         with self._lock:
-            if start_ts in self.table.commit_records:
-                raise AlreadyCommittedError(
-                    f"transaction {start_ts} already committed"
-                )
-            if start_ts not in self.table.aborted:
-                ack = self._abort_locked(start_ts)
-        if ack is not None:
-            ack.wait()
+            if start_ts not in self._active:
+                raise DuplicateRequestError(f"transaction {start_ts} is not live")
+            self._abort_locked(start_ts)
+
+    def close(self) -> None:
+        """Abort every live transaction, with no record: discard its writes
+        and forget its start."""
+        with self._lock:
+            for start_ts in self._active:
+                self.store.purge_aborted(start_ts)
+            self._active.clear()
 
     # -- internals -----------------------------------------------------------
 
     def _commit_locked(self, start_ts: int, rows: tuple[RowId, ...]):
         """Commit with `rows`, the sorted non-empty write set; returns (commit ts, ack)."""
         tc = self.timestamps.next()
-        ack = self._append(KIND_COMMIT, start_ts, tc, rows)
+        ack = None
+        if self.wal is not None:  # no WalRecord is built when no log is attached
+            ack = self.wal.append(WalRecord(KIND_COMMIT, start_ts, tc, rows))
         self.table.apply_commit(start_ts, tc, rows)
         self.store.install(start_ts, tc)
         self._active.discard(start_ts)
         self._writing_commits += 1
         return tc, ack
 
-    def _abort_locked(self, start_ts: int):
-        ack = self._append(KIND_ABORT, start_ts)
-        self.table.record_abort(start_ts)
+    def _abort_locked(self, start_ts: int) -> None:
+        if self.wal is not None and self.wal.error is not None:
+            raise self.wal.error  # fail-stop: no append raises it for an abort
         self.store.purge_aborted(start_ts)
         self._active.discard(start_ts)
-        return ack
 
-    def _append(self, *record):
-        # no WalRecord is built when no log is attached
-        return self.wal.append(WalRecord(*record)) if self.wal is not None else None

@@ -136,5 +136,6 @@ class Database:
         self.oracle.gc()
 
     def close(self) -> None:
+        self.oracle.close()  # aborts every live transaction before the log closes
         if self.wal is not None:
             self.wal.close()

@@ -12,7 +12,8 @@ no checksum of its own. Every payload starts with a u8 record kind and a u64
 start timestamp. Kind-specific fields follow: commit records carry a u64
 commit timestamp, a u32 row count, and u16-length-prefixed row identifiers;
 timestamp-reservation records carry the u64 highest reserved timestamp; abort
-records carry nothing extra. All integers are little-endian.
+records, which the engine no longer writes and replay skips, carry nothing
+extra. All integers are little-endian.
 
 The file is zero-filled ahead of the log's end in whole chunks of CHUNK_SIZE
 bytes, so a flush is one positioned write into space the file already has and

@@ -87,13 +87,12 @@ def drive_schedule(schedule, policy: IsolationPolicy, capacity: int | None = Non
     by txn index).
     """
     oracle = StatusOracle(policy, capacity=capacity)
-    timestamps = oracle.timestamps
     starts: dict[int, int] = {}
     requests: dict[int, tuple[frozenset, frozenset]] = {}
     decisions = {}
     for ev in schedule:
         if ev[0] == "begin":
-            starts[ev[1]] = timestamps.next()
+            starts[ev[1]] = oracle.start()
         else:
             _, i, ws, rs = ev
             requests[i] = (ws, rs)

@@ -8,6 +8,7 @@ suite is reproducible.
 import contextlib
 import os
 import random
+import shutil
 import statistics
 import struct
 import time
@@ -24,7 +25,7 @@ from wsikv.history import (
     verdict_line,
     view_equivalent,
 )
-from wsikv.oracle import IsolationPolicy, StatusOracle, recover
+from wsikv.oracle import DuplicateRequestError, IsolationPolicy, StatusOracle, recover
 from wsikv.timestamps import TimestampOracle
 from wsikv.txn import Database
 from wsikv.wal import WriteAheadLog
@@ -174,7 +175,6 @@ def _differential_stream(seed: int, policy: IsolationPolicy, capacities):
     rng = random.Random(seed)
     schedule = random_schedule(rng, n_txns=30, n_rows=24, max_live=8)
     unbounded = StatusOracle(policy)
-    timestamps = unbounded.timestamps
     shadows = {cap: StatusOracle(policy, capacity=cap) for cap in capacities}
     twins = {cap: TableTwin(cap) for cap in capacities}
     starts: dict[int, int] = {}
@@ -182,10 +182,9 @@ def _differential_stream(seed: int, policy: IsolationPolicy, capacities):
     extra_aborts = 0
     for ev in schedule:
         if ev[0] == "begin":
-            starts[ev[1]] = timestamps.next()
+            starts[ev[1]] = unbounded.start()
             for shadow in shadows.values():
-                burned = shadow.timestamps.next()
-                if burned != starts[ev[1]]:
+                if shadow.start() != starts[ev[1]]:
                     violations.append(("clock-skew", ev[1]))
             continue
         _, i, ws, rs = ev
@@ -203,7 +202,6 @@ def _differential_stream(seed: int, policy: IsolationPolicy, capacities):
                 if decision.cause != "pessimistic":
                     violations.append(("untagged-abort", seed, cap, i))
                 # mirror the unbounded outcome to keep the streams identical
-                shadow.table.aborted.discard(start)
                 shadow.table.apply_commit(start, base.commit_ts, sorted(ws))
                 shadow.timestamps.next()
             if base.committed:
@@ -228,14 +226,13 @@ def test_c5_bounded_differential(capsys):
         schedule = random_schedule(rng, n_txns=12, n_rows=8)
         via_policy = StatusOracle(policy)
         via_bounded = StatusOracle(policy, capacity=8)
-        ts_a, ts_b = via_policy.timestamps, via_bounded.timestamps
         starts_a: dict[int, int] = {}
         starts_b: dict[int, int] = {}
         same = True
         for ev in schedule:
             if ev[0] == "begin":
-                starts_a[ev[1]] = ts_a.next()
-                starts_b[ev[1]] = ts_b.next()
+                starts_a[ev[1]] = via_policy.start()
+                starts_b[ev[1]] = via_bounded.start()
             else:
                 _, i, ws, rs = ev
                 da = via_policy.submit(starts_a[i], ws, rs)
@@ -307,14 +304,34 @@ def test_c6_crash_recovery_equivalence(tmp_path, capsys):
             violations.append((trial, "t_max"))
         if table.commit_records != twin.commit_records:
             violations.append((trial, "commit_records"))
-        if table.aborted != twin.aborted:
-            violations.append((trial, "aborted"))
+        if twin.aborted & table.commit_records.keys():
+            violations.append((trial, "aborted start recovered as committed"))
         if highest < max(issued):
             violations.append((trial, "reservation below issued timestamps"))
         resumed = TimestampOracle(start_after=highest)
         fresh = {resumed.next() for _ in range(50)}
         if fresh & set(issued):
             violations.append((trial, "timestamp reissued"))
+        # presumed abort: an oracle opened on the crashed log refuses every
+        # start decided before the kill, aborted ones included, and every
+        # start live at it
+        copy = tmp_path / f"crash{trial}.copy.wal"
+        shutil.copyfile(path, copy)
+        reopened = StatusOracle(WSI, capacity=16, wal=WriteAheadLog(copy))
+        for start in twin.aborted | twin.commit_records.keys() | set(live):
+            for request in (
+                lambda: reopened.submit(start, (rows[0],), (rows[1],)),
+                lambda: reopened.submit(start, ()),
+                lambda: reopened.report_abort(start),
+            ):
+                try:
+                    request()
+                except DuplicateRequestError:
+                    continue
+                violations.append((trial, "start decided after recovery", start))
+        if reopened.start() != highest + 1:
+            violations.append((trial, "first start after recovery"))
+        reopened.wal.close()
     with capsys.disabled():
         report(
             6,

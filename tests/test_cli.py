@@ -226,6 +226,7 @@ def test_recover_prints_rebuilt_state(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "commit_records=5" in out
     assert "reserved_up_to=" in out
+    assert "aborted=" not in out
 
 
 def test_recover_missing_file_fails(tmp_path, capsys):

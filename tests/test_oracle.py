@@ -13,7 +13,6 @@ from helpers import (
     wsi_safety_violations,
 )
 from wsikv.oracle import (
-    AlreadyCommittedError,
     CommitDecision,
     CommitTable,
     DuplicateRequestError,
@@ -34,8 +33,8 @@ def make_oracle(policy, capacity=None):
 
 
 def test_si_disjoint_writers_both_commit():
-    oracle, ts = make_oracle(SI)
-    assert ts.next() == 1 and ts.next() == 2  # two transaction starts
+    oracle, _ = make_oracle(SI)
+    assert oracle.start() == 1 and oracle.start() == 2  # two transaction starts
     d1 = oracle.submit(1, {b"y"})
     d2 = oracle.submit(2, {b"x"})
     assert (d1.committed, d1.commit_ts) == (True, 3)
@@ -43,28 +42,30 @@ def test_si_disjoint_writers_both_commit():
 
 
 def test_si_write_write_conflict_aborts_later_committer():
-    oracle, ts = make_oracle(SI)
-    ts.next(), ts.next()
+    oracle, _ = make_oracle(SI)
+    oracle.start(), oracle.start()
     d2 = oracle.submit(2, {b"x"})
     assert (d2.committed, d2.commit_ts) == (True, 3)
     d1 = oracle.submit(1, {b"x"})  # lastCommit(x)=3 > 1
     assert (d1.committed, d1.cause) == (False, "conflict")
     assert d2.cause is None
-    assert oracle.table.aborted == {1} and 1 not in oracle.table.commit_records
+    assert 1 not in oracle.table.commit_records and oracle._active == set()
+    with pytest.raises(DuplicateRequestError, match="transaction 1 is not live"):
+        oracle.report_abort(1)
 
 
 def test_si_empty_write_set_always_commits():
-    oracle, ts = make_oracle(SI)
+    oracle, _ = make_oracle(SI)
     for _ in range(5):
-        ts.next()
+        oracle.start()
     oracle.submit(2, {b"x"})
     decision = oracle.submit(5, set())
     assert decision.committed
 
 
 def test_conflict_abort_leaves_conflict_state_untouched():
-    oracle, ts = make_oracle(SI)
-    ts.next(), ts.next()
+    oracle, _ = make_oracle(SI)
+    oracle.start(), oracle.start()
     oracle.submit(2, {b"x"})
     before = dict(oracle.table.last_commit)
     oracle.submit(1, {b"x", b"z"})
@@ -75,8 +76,8 @@ def test_conflict_abort_leaves_conflict_state_untouched():
 
 
 def test_wsi_write_skew_is_rejected():
-    oracle, ts = make_oracle(WSI)
-    ts.next(), ts.next()
+    oracle, _ = make_oracle(WSI)
+    oracle.start(), oracle.start()
     d1 = oracle.submit(1, {b"x"}, {b"x", b"y"})
     assert (d1.committed, d1.commit_ts) == (True, 3)
     d2 = oracle.submit(2, {b"y"}, {b"x", b"y"})  # lastCommit(x)=3 > 2
@@ -84,8 +85,8 @@ def test_wsi_write_skew_is_rejected():
 
 
 def test_wsi_blind_write_is_allowed():
-    oracle, ts = make_oracle(WSI)
-    ts.next(), ts.next()
+    oracle, _ = make_oracle(WSI)
+    oracle.start(), oracle.start()
     d1 = oracle.submit(1, {b"x"}, {b"x"})
     assert (d1.committed, d1.commit_ts) == (True, 3)
     d2 = oracle.submit(2, {b"x"}, set())  # empty read set: no check
@@ -94,8 +95,8 @@ def test_wsi_blind_write_is_allowed():
 
 def test_wsi_no_read_write_overlap_commits_despite_concurrency():
     # a concurrent committer touching a row outside the read set is harmless
-    oracle, ts = make_oracle(WSI)
-    ts.next(), ts.next()  # txn_n=1, txn_c=2
+    oracle, _ = make_oracle(WSI)
+    oracle.start(), oracle.start()  # txn_n=1, txn_c=2
     dc = oracle.submit(2, {b"rprime"}, set())
     assert dc.committed
     dn = oracle.submit(1, {b"rprime"}, {b"r"})
@@ -103,9 +104,9 @@ def test_wsi_no_read_write_overlap_commits_despite_concurrency():
 
 
 def test_wsi_read_only_fast_path_commits_with_no_state_change():
-    oracle, ts = make_oracle(WSI)
+    oracle, _ = make_oracle(WSI)
     for _ in range(7):
-        ts.next()
+        oracle.start()
     decision = oracle.submit(7, set(), set())
     assert decision.committed
     assert oracle.table.last_commit == {}
@@ -113,8 +114,8 @@ def test_wsi_read_only_fast_path_commits_with_no_state_change():
 
 
 def test_wsi_read_only_request_with_an_overwritten_read_row_commits_unchecked():
-    oracle, ts = make_oracle(WSI)
-    reader, writer = ts.next(), ts.next()
+    oracle, _ = make_oracle(WSI)
+    reader, writer = oracle.start(), oracle.start()
     assert oracle.submit(writer, {b"x"}, set()).committed  # overwrites x after the reader started
     before = dict(oracle.table.last_commit)
     decision = oracle.submit(reader, set(), {b"x"})
@@ -141,8 +142,8 @@ def test_read_only_commit_takes_no_lock_and_draws_no_timestamp():
 
 
 def test_generator_sets_are_materialized_before_the_policy_applies():
-    oracle, ts = make_oracle(SI)
-    early, writer, reader = ts.next(), ts.next(), ts.next()
+    oracle, _ = make_oracle(SI)
+    early, writer, reader = oracle.start(), oracle.start(), oracle.start()
     assert oracle.submit(writer, iter([b"x"])).committed
     # a non-empty generator write set is checked under SI
     assert oracle.submit(early, (row for row in [b"x"])).cause == "conflict"
@@ -150,8 +151,8 @@ def test_generator_sets_are_materialized_before_the_policy_applies():
     assert oracle.submit(reader, (row for row in ())) == CommitDecision(True, reader)
     assert oracle.read_only_commits == 1
 
-    oracle, ts = make_oracle(WSI)
-    early, writer = ts.next(), ts.next()
+    oracle, _ = make_oracle(WSI)
+    early, writer = oracle.start(), oracle.start()
     assert oracle.submit(writer, iter([b"x"])).committed
     # a generator read set is checked under WSI
     decision = oracle.submit(early, (row for row in [b"y"]), (row for row in [b"x"]))
@@ -159,8 +160,8 @@ def test_generator_sets_are_materialized_before_the_policy_applies():
 
 
 def test_read_only_never_aborted_even_under_heavy_conflicts():
-    oracle, ts = make_oracle(WSI)
-    starts = [ts.next() for _ in range(10)]
+    oracle, _ = make_oracle(WSI)
+    starts = [oracle.start() for _ in range(10)]
     oracle.submit(starts[-1], {b"x"}, set())
     for start in starts[:-1]:
         assert oracle.submit(start, set(), set()).committed
@@ -178,7 +179,7 @@ def seeded_bounded_oracle(policy=WSI):
     table.apply_commit(103, 6, (b"b",))  # evicts c@4
     assert table.last_commit == {b"a": 5, b"b": 6}
     assert table.t_max == 4
-    assert [ts.next() for _ in range(6)][-1] == 6
+    assert [oracle.start() for _ in range(6)][-1] == 6
     return oracle, ts
 
 
@@ -258,16 +259,16 @@ def test_bounded_read_only_fast_path_skips_watermark():
 
 
 def test_duplicate_commit_request_is_rejected():
-    oracle, ts = make_oracle(WSI)
-    ts.next()
+    oracle, _ = make_oracle(WSI)
+    oracle.start()
     oracle.submit(1, {b"x"}, set())
     with pytest.raises(DuplicateRequestError):
         oracle.submit(1, {b"x"}, set())
 
 
 def test_commit_request_after_conflict_abort_is_rejected():
-    oracle, ts = make_oracle(SI)
-    ts.next(), ts.next()
+    oracle, _ = make_oracle(SI)
+    oracle.start(), oracle.start()
     oracle.submit(2, {b"x"})
     assert not oracle.submit(1, {b"x"}).committed
     with pytest.raises(DuplicateRequestError):
@@ -332,15 +333,36 @@ def test_every_decision_is_an_ordinary_commit_decision():
     assert [d.cause for d, _, _ in expected] == [None, None, "conflict"]
 
 
-def test_report_abort_is_idempotent_and_respects_commits():
+def test_report_abort_admits_only_a_live_start():
     oracle, ts = make_oracle(WSI)
-    ts.next(), ts.next(), ts.next()
-    oracle.report_abort(3)
-    oracle.report_abort(3)
-    assert oracle.table.aborted == {3}
-    oracle.submit(1, {b"x"}, set())
-    with pytest.raises(AlreadyCommittedError):
-        oracle.report_abort(1)
+    committed, abandoned, live = oracle.start(), oracle.start(), oracle.start()
+    oracle.store.put_tentative(b"y", abandoned, b"gone")
+    oracle.report_abort(abandoned)
+    assert oracle._active == {committed, live} and oracle.store._tentative == {}
+    assert oracle.submit(committed, {b"x"}, set()).committed
+    records = dict(oracle.table.commit_records)
+    for start in (abandoned, committed, ts.last_issued() + 5):
+        with pytest.raises(DuplicateRequestError, match=f"transaction {start} is not live"):
+            oracle.report_abort(start)
+    assert oracle._active == {live} and oracle.table.commit_records == records
+
+
+def test_a_start_never_issued_is_refused_and_installs_nothing():
+    for policy in (SI, WSI):
+        oracle, ts = make_oracle(policy)
+        oracle.start()
+        unissued = ts.last_issued() + 5
+        oracle.store.put_tentative(b"x", unissued, b"forged")
+        for request in (
+            lambda: oracle.submit(unissued, {b"x"}, {b"x"}),
+            lambda: oracle.submit(unissued, (), {b"x"}),
+            lambda: oracle.report_abort(unissued),
+        ):
+            with pytest.raises(DuplicateRequestError, match=f"transaction {unissued} is not live"):
+                request()
+            assert oracle.table.last_commit == {} and oracle.table.commit_records == {}
+            assert oracle.store.rows() == [] and oracle._active == {1}
+        assert ts.last_issued() == 1
 
 
 def test_gc_compacts_below_the_oldest_live_start():
@@ -497,10 +519,9 @@ def test_closed_loop_bounded_oracle_can_diverge_beyond_subsets():
     """
     unbounded = StatusOracle(SI)
     bounded = StatusOracle(SI, capacity=1)
-    ts_u, ts_b = unbounded.timestamps, bounded.timestamps
 
     def begin():
-        a, b = ts_u.next(), ts_b.next()
+        a, b = unbounded.start(), bounded.start()
         assert a == b
         return a
 
@@ -514,7 +535,7 @@ def test_closed_loop_bounded_oracle_can_diverge_beyond_subsets():
     straddler = begin()  # starts before the victim's commit
     assert unbounded.submit(victim, {b"q"}, set()).committed
     assert bounded.submit(victim, {b"q"}, set()).cause == "pessimistic"
-    ts_b.next()  # realign clocks after the divergent draw
+    bounded.timestamps.next()  # realign clocks after the divergent draw
     # unbounded rejects the straddler on q; the bounded table forgot q entirely
     assert not unbounded.submit(straddler, {b"q"}, set()).committed
     assert bounded.submit(straddler, {b"q"}, set()).committed

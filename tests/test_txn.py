@@ -8,9 +8,17 @@ import time
 import pytest
 
 from wsikv import wal as wal_module
-from wsikv.oracle import AlreadyCommittedError, IsolationPolicy, recover
+from wsikv.oracle import DuplicateRequestError, IsolationPolicy, recover
 from wsikv.txn import Database, HandleState, TransactionStateError
-from wsikv.wal import KIND_COMMIT, WalClosedError, WalError, WriteAheadLog, read_records
+from wsikv.wal import (
+    KIND_ABORT,
+    KIND_COMMIT,
+    KIND_TS_RESERVE,
+    WalClosedError,
+    WalError,
+    WriteAheadLog,
+    read_records,
+)
 
 SI, WSI = IsolationPolicy.SI, IsolationPolicy.WSI
 
@@ -196,7 +204,7 @@ def test_report_abort_on_a_committed_transaction_keeps_its_versions():
     h = db.begin()
     h.write(b"x", b"v")
     assert h.commit().committed
-    with pytest.raises(AlreadyCommittedError):
+    with pytest.raises(DuplicateRequestError, match="is not live"):
         db.oracle.report_abort(h.start_ts)
     assert db.begin().read(b"x") == b"v"
     assert [v.commit_ts for v in db.store.versions(b"x")] == [h.commit_ts]
@@ -242,7 +250,7 @@ def test_wal_failure_leaves_handle_active():
 
 def _oracle_state(db):
     t = db.oracle.table
-    return t.commit_records, t.aborted, t.last_commit, t.t_max
+    return t.commit_records, t.last_commit, t.t_max
 
 
 def test_unloggable_commit_changes_no_state(tmp_path):
@@ -288,19 +296,44 @@ def test_opening_a_database_on_a_log_recovers_it(tmp_path):
         h = db.begin()
         h.write(b"r%d" % (i % 3), b"v")
         h.commit()
-    db.begin().abort()
+    abandoned = db.begin()
+    abandoned.abort()
     db.close()
     table, highest = recover(path)
-    assert table.commit_records and table.aborted
+    assert table.commit_records and abandoned.start_ts not in table.commit_records
+    assert KIND_ABORT not in {rec.kind for rec in read_records(path)}
     copy = tmp_path / "copy.wal"
     shutil.copy(path, copy)
     reopened = Database(WSI, wal=WriteAheadLog(path), block_size=4)
     recovered = Database.recover(copy, block_size=4)
     assert _oracle_state(reopened) == _oracle_state(recovered) == _oracle_state(db)
+    for db in (reopened, recovered):
+        with pytest.raises(DuplicateRequestError, match="is not live"):
+            db.oracle.report_abort(abandoned.start_ts)
     start = reopened.begin().start_ts
     assert start == recovered.begin().start_ts == highest + 1
     reopened.close()
     recovered.close()
+
+
+@pytest.mark.parametrize("durable", [False, True])
+def test_close_decides_every_live_transaction(tmp_path, durable):
+    path = tmp_path / "db.wal"
+    db = Database(WSI, wal=WriteAheadLog(path) if durable else None)
+    writer, reader = db.begin(), db.begin()
+    writer.write(b"x", b"v")
+    reader.read(b"x")
+    db.close()
+    assert db.oracle._active == set() and db.store._tentative == {}
+    for decide in (writer.commit, reader.commit, writer.abort):
+        with pytest.raises(DuplicateRequestError, match="is not live"):
+            decide()
+        assert db.oracle._active == set() and db.store._tentative == {}
+    assert db.oracle.table.commit_records == {} and db.store.rows() == []
+    if durable:
+        assert {rec.kind for rec in read_records(path)} == {KIND_TS_RESERVE}
+    else:  # an in-memory database has no log to close: it begins again
+        assert db.begin().commit().committed
 
 
 def test_recovered_database_decides_like_a_never_crashed_one(tmp_path):

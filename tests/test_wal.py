@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wsikv import wal as wal_module
-from wsikv.oracle import CommitTable, IsolationPolicy, StatusOracle, recover
+from wsikv.oracle import CommitTable, DuplicateRequestError, IsolationPolicy, StatusOracle, recover
 from wsikv.timestamps import TimestampOracle
 from wsikv.txn import Database, HandleState
 from wsikv.wal import (
@@ -140,7 +140,6 @@ def test_empty_log_recovers_to_empty_state(tmp_path):
     assert table.last_commit == {}
     assert table.t_max == 0
     assert table.commit_records == {}
-    assert table.aborted == set()
     assert highest == 0
 
 
@@ -278,11 +277,10 @@ def test_recovery_matches_live_oracle_state(tmp_path):
     path = tmp_path / "x.wal"
     wal = WriteAheadLog(path)
     oracle = StatusOracle(IsolationPolicy.WSI, capacity=4, wal=wal, block_size=50)
-    timestamps = oracle.timestamps
     rng = random.Random(7)
     rows = [bytes([65 + i]) for i in range(8)]
     for _ in range(120):
-        start = timestamps.next()
+        start = oracle.start()
         ws = frozenset(rng.sample(rows, rng.randint(0, 3)))
         rs = frozenset(rng.sample(rows, rng.randint(0, 3)))
         oracle.submit(start, ws, rs)
@@ -291,8 +289,7 @@ def test_recovery_matches_live_oracle_state(tmp_path):
     assert table.last_commit == oracle.table.last_commit
     assert table.t_max == oracle.table.t_max
     assert table.commit_records == oracle.table.commit_records
-    assert table.aborted == oracle.table.aborted
-    assert highest >= timestamps.last_issued()
+    assert highest >= oracle.timestamps.last_issued()
 
 
 def test_an_oracle_opened_on_a_crashed_log_is_what_recover_reads(tmp_path):
@@ -300,22 +297,27 @@ def test_an_oracle_opened_on_a_crashed_log_is_what_recover_reads(tmp_path):
     live = StatusOracle(IsolationPolicy.WSI, capacity=4, wal=WriteAheadLog(path), block_size=8)
     rng = random.Random(11)
     rows = [bytes([65 + i]) for i in range(8)]
+    abandoned = []
     for _ in range(60):
         start = live.start()
         live.submit(start, frozenset(rng.sample(rows, rng.randint(0, 3))), ())
         if rng.random() < 0.2:
-            live.report_abort(live.start())
+            abandoned.append(live.start())
+            live.report_abort(abandoned[-1])
     crashed = tmp_path / "crashed.wal"
     shutil.copyfile(path, crashed)  # a crash keeps what is durable, and every decision was
     live.wal.close()
     table, highest = recover(crashed, capacity=4)
-    assert table.commit_records and table.aborted and table.t_max > 0
+    assert abandoned and table.commit_records and table.t_max > 0
     assert highest >= live.timestamps.last_issued()
     wal = WriteAheadLog(crashed)
     oracle = StatusOracle(IsolationPolicy.WSI, capacity=4, wal=wal, block_size=8)
-    for field in ("commit_records", "aborted", "last_commit", "t_max"):
+    for field in ("commit_records", "last_commit", "t_max"):
         assert getattr(oracle.table, field) == getattr(table, field), field
     assert wal.recovered == []
+    for start in abandoned:
+        with pytest.raises(DuplicateRequestError, match="is not live"):
+            oracle.report_abort(start)
     assert oracle.start() == highest + 1
     wal.close()
 
@@ -334,13 +336,13 @@ def test_recovery_is_idempotent_across_rewrite(tmp_path):
     wal2.close()
     t1, h1 = recover(path)
     t2, h2 = recover(rewritten)
-    assert (t1.last_commit, t1.t_max, t1.commit_records, t1.aborted, h1) == (
+    assert (t1.last_commit, t1.t_max, t1.commit_records, h1) == (
         t2.last_commit,
         t2.t_max,
         t2.commit_records,
-        t2.aborted,
         h2,
     )
+    assert (t1.commit_records, h1) == ({1: 3}, 100)  # the abort record is skipped
 
 
 def test_replaying_commits_reproduces_bounded_table(tmp_path):
@@ -738,6 +740,25 @@ def test_read_only_commit_after_a_log_failure_raises_and_stays_active(tmp_path, 
         db.close()
 
 
+def test_aborts_append_no_record_and_wait_for_no_flush(tmp_path):
+    path = tmp_path / "x.wal"
+    db = Database(WSI, wal=WriteAheadLog(path))
+    db.seed_committed(b"x", b"0")
+    loser, winner, abandoned = db.begin(), db.begin(), db.begin()
+    for h in (loser, winner):
+        h.read(b"x")
+        h.write(b"x", b"1")
+    abandoned.write(b"y", b"2")
+    assert winner.commit().committed
+    flushes = db.wal.flush_count
+    assert loser.commit().cause == "conflict"  # a conflict abort
+    abandoned.abort()  # a client abort, through report_abort
+    assert db.wal.flush_count == flushes
+    db.close()
+    kinds = [rec.kind for rec in read_records(path)]
+    assert KIND_ABORT not in kinds and kinds.count(KIND_COMMIT) == 2
+
+
 def test_failed_log_stops_the_engine_without_changing_the_table(tmp_path, monkeypatch):
     db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
     doomed, later, abandoned, rival = db.begin(), db.begin(), db.begin(), db.begin()
@@ -749,8 +770,8 @@ def test_failed_log_stops_the_engine_without_changing_the_table(tmp_path, monkey
     with pytest.raises(WalError):
         doomed.commit()
     assert doomed.state is HandleState.ACTIVE
-    table = db.oracle.table
-    before = (dict(table.commit_records), set(table.aborted), dict(table.last_commit), table.t_max)
+    table, active = db.oracle.table, db.oracle._active
+    before = (dict(table.commit_records), dict(table.last_commit), table.t_max, set(active))
     for attempt in (
         db.begin,
         later.commit,
@@ -762,7 +783,7 @@ def test_failed_log_stops_the_engine_without_changing_the_table(tmp_path, monkey
     ):
         with pytest.raises(WalError):
             attempt()
-        assert (table.commit_records, table.aborted, table.last_commit, table.t_max) == before
+        assert (table.commit_records, table.last_commit, table.t_max, active) == before
     with pytest.raises(WalError):
         db.close()
 
