@@ -11,6 +11,9 @@ thread, and the best of `--repeat` timings is printed:
 - `read`: `h.read(row)` on one handle and one loaded row;
 - `write`: `h.write(row, value)` on one handle and one row;
 - `read_only_commit`: `commit()` of a handle that read one row;
+- `durable_read_only_commit`: the same on a second database, whose write-ahead
+  log is in a temporary directory and which holds that one row; with nothing
+  in the snapshot left to flush, it appends nothing and waits for nothing;
 - `write5_commit`: `commit()` of a handle that wrote five rows, none read.
 
 Commits are timed as a loop over `--number` handles made before the timer
@@ -22,10 +25,12 @@ per-layer spans can resolve, since each span costs more than they do.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 import timeit
 
-from wsikv import Database
+from wsikv import Database, WriteAheadLog
 
 LOAD_TXN_ROWS = 1_000
 VALUE = b"v" * 16
@@ -66,8 +71,8 @@ def main() -> int:
     row = row_key(args.rows // 2)
     write_rows = [row_key(i) for i in range(5)]
 
-    def read_only_handles():
-        handles = [db.begin() for _ in range(n)]
+    def read_only_handles(database):
+        handles = [database.begin() for _ in range(n)]
         for h in handles:
             h.read(row)
         return handles
@@ -79,19 +84,26 @@ def main() -> int:
                 h.write(r, VALUE)
         return handles
 
-    names = {"db": db, "row": row, "value": VALUE,
-             "read_only_handles": read_only_handles, "writing_handles": writing_handles}
-    costs = {
-        "begin": best_ns("db.begin()", "", names, n, repeat, 1),
-        "read": best_ns("h.read(row)", "h = db.begin()", names, n, repeat, 1),
-        "write": best_ns("h.write(row, value)", "h = db.begin()", names, n, repeat, 1),
-        "read_only_commit": best_ns(
-            "for h in hs: h.commit()", "hs = read_only_handles()", names, 1, repeat, n
-        ),
-        "write5_commit": best_ns(
-            "for h in hs: h.commit()", "hs = writing_handles()", names, 1, repeat, n
-        ),
-    }
+    with tempfile.TemporaryDirectory() as tmp:
+        durable = Database(wal=WriteAheadLog(os.path.join(tmp, "op_costs.wal")))
+        durable.seed_committed(row, VALUE)
+        names = {"db": db, "durable": durable, "row": row, "value": VALUE,
+                 "read_only_handles": read_only_handles, "writing_handles": writing_handles}
+        costs = {
+            "begin": best_ns("db.begin()", "", names, n, repeat, 1),
+            "read": best_ns("h.read(row)", "h = db.begin()", names, n, repeat, 1),
+            "write": best_ns("h.write(row, value)", "h = db.begin()", names, n, repeat, 1),
+            "read_only_commit": best_ns(
+                "for h in hs: h.commit()", "hs = read_only_handles(db)", names, 1, repeat, n
+            ),
+            "durable_read_only_commit": best_ns(
+                "for h in hs: h.commit()", "hs = read_only_handles(durable)", names, 1, repeat, n
+            ),
+            "write5_commit": best_ns(
+                "for h in hs: h.commit()", "hs = writing_handles()", names, 1, repeat, n
+            ),
+        }
+        durable.close()
     print("op,ns_per_op")
     for op, ns in costs.items():
         print(f"{op},{ns:.0f}")

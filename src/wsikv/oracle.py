@@ -22,8 +22,8 @@ store decides visibility without the oracle. A started transaction stays
 live until its decision, which installs its writes or discards them, and the
 oldest live start is the garbage-collection watermark; only a live start
 may be decided. Aborts are presumed, as in R* (Mohan et al., TODS 1986): the
-log and the table hold commits only, a start without a commit record is
-aborted, and an abort logs, stores and waits for nothing.
+log and the table hold writing commits only, a start without a commit record
+is aborted, and an abort logs, stores and waits for nothing.
 
 The oracle's lock is the one lock of shared transaction state: every draw of
 a timestamp, every writing or aborting decision, every install in the store
@@ -32,10 +32,14 @@ store have no lock of their own, and the oracle builds both and its commit
 table itself. Opening it on a log is recovery: `replay` rebuilds the table
 from the records the log read, and timestamps resume above the highest
 persisted reservation; `recover` does the same from a log file, read-only.
-A read-only commit takes no lock and draws no timestamp: it appends its
-record under the log's own lock, then stores its outcome and leaves the live
-set in one atomic operation each (see the store's list (c)). No log flush is
-waited for while the lock is held: a commit or a start only appends to the
+A read-only commit takes no lock, draws no timestamp, and logs and stores
+nothing: it leaves the live set in one atomic operation (see the store's list
+(c)) and then waits until every commit its snapshot holds is durable, as in
+the commit-dependency tracking of early lock release (Johnson et al.,
+"Aether", VLDB 2010). start() records beside each live start the log's last
+appended sequence number; every writing commit is appended inside the lock,
+so every commit the snapshot sees lies at or below that number. No log flush
+is waited for while the lock is held: a commit or a start only appends to the
 log inside it and waits for durability after releasing it.
 """
 
@@ -49,7 +53,7 @@ from typing import NamedTuple
 
 from .mvstore import VersionedStore
 from .timestamps import DEFAULT_BLOCK_SIZE, TimestampOracle
-from .wal import KIND_COMMIT, KIND_TS_RESERVE, WalClosedError, WalRecord, read_records
+from .wal import KIND_COMMIT, KIND_TS_RESERVE, DurableAck, WalClosedError, WalRecord, read_records
 
 RowId = bytes
 
@@ -88,7 +92,7 @@ _new_tuple = tuple.__new__  # builds a CommitDecision without its generated __ne
 
 
 class CommitTable:
-    """Last-committer map plus commit outcome records.
+    """Last-committer map plus the outcome records of writing commits.
 
     When capacity is bounded, inserting beyond it evicts the entries with the
     smallest commit timestamps and folds them into t_max, so t_max is exactly
@@ -139,11 +143,12 @@ def replay(records, capacity: int | None = None):
     """(CommitTable, highest persisted timestamp reservation) rebuilt from log
     records in append order. The table is built with the given capacity so
     eviction and the watermark replay the same way they were produced. Abort
-    records, which older logs hold, are skipped."""
+    records and commit records with no rows, which older logs hold, are
+    skipped: the table holds writing commits only."""
     table = CommitTable(capacity=capacity)
     highest = 0
     for rec in records:
-        if rec.kind == KIND_COMMIT:
+        if rec.kind == KIND_COMMIT and rec.rows:
             table.apply_commit(rec.start_ts, rec.commit_ts, rec.rows)
         elif rec.kind == KIND_TS_RESERVE:
             highest = max(highest, rec.reserved_up_to)
@@ -165,16 +170,17 @@ class StatusOracle:
     versions) form one atomic step; start() draws start timestamps and
     registers them as live, and gc() cuts the store's rows holding three or
     more versions, inside the same lock. A request that writes nothing
-    commits outside it, at its start timestamp. A commit is appended to the
-    write-ahead log before it changes any state, so a record that cannot be
-    logged leaves the oracle as it was; appending only buffers, and the
-    caller waits for durability after the lock is released. An abort waits
+    commits outside it, at its start timestamp, logs and stores nothing, and
+    returns once every commit in its snapshot is durable. A writing commit
+    is appended to the write-ahead log before it changes any state, so a
+    record that cannot be logged leaves the oracle as it was; appending only
+    buffers, and the caller waits for durability after the lock is released. An abort waits
     for nothing, so its snapshot may hold a commit not yet durable: safe,
     since an abort promises its client nothing about what it read.
 
     `committed_count` and `read_only_commits` are exact once no decision is
-    in flight: writing commits are counted under the lock, and every commit
-    adds one outcome record.
+    in flight. They are derived from counters kept under the lock: a start
+    that is neither live nor aborted committed.
     """
 
     def __init__(
@@ -193,15 +199,18 @@ class StatusOracle:
         self.policy = policy
         self.wal = wal
         self._lock = threading.Lock()
-        self._active: set[int] = set()  # live starts: the only ones a decision admits
-        self._records_at_open = len(self.table.commit_records)
+        # live starts, the only ones a decision admits, each mapped to the
+        # log's last appended sequence number when it started (0 without a log)
+        self._active: dict[int, int] = {}
+        self._started = 0
+        self._aborts = 0
         self._writing_commits = 0
         self.conflict_aborts = 0
         self.pessimistic_aborts = 0
 
     @property
     def committed_count(self) -> int:
-        return len(self.table.commit_records) - self._records_at_open
+        return self._started - len(self._active) - self._aborts
 
     @property
     def read_only_commits(self) -> int:
@@ -216,10 +225,14 @@ class StatusOracle:
         issuance is in its block; either way nothing is drawn."""
         with self._lock:
             wal = self.wal
-            if wal is not None and (wal.error is not None or wal.closed):
-                raise wal.error or WalClosedError("begin on a closed log")
+            appended = 0
+            if wal is not None:
+                if wal.error is not None or wal.closed:
+                    raise wal.error or WalClosedError("begin on a closed log")
+                appended = wal.appended  # every commit this snapshot sees is at or below it
             ts = self.timestamps.next()
-            self._active.add(ts)
+            self._active[ts] = appended
+            self._started += 1
             reserved = self.timestamps.block_ack
         if reserved is not None:
             reserved.wait()
@@ -238,7 +251,8 @@ class StatusOracle:
     def submit(self, start_ts: int, write_set, read_set=()) -> CommitDecision:
         """Decide a commit request under the oracle's policy: SI checks the
         write set, WSI the read set, and a request with no writes commits
-        unchecked under either, at its start timestamp, without the lock.
+        unchecked under either, at its start timestamp, without the lock,
+        and waits only until the commits in its snapshot are durable.
 
         The write set is sorted once, before the lock is taken, because a
         commit applies and logs its rows in that order; WSI walks the read
@@ -247,25 +261,25 @@ class StatusOracle:
         row's last commit is above the start, else "pessimistic" when some
         checked row is untracked while t_max is above the start. Either set
         may be any iterable, walked once, so the write set is tested once
-        materialized, and sorted only when it holds a row. Without the lock, a
-        read-only request's live check is not atomic with its record; that
-        needs no lock, because one handle owns a start timestamp and submits it
-        once. The policy is compared with the module alias `_WSI`, since
-        fetching a member through its enum class costs several times a global."""
+        materialized, and sorted only when it holds a row. A read-only request
+        is admitted and leaves the live set in one atomic pop, so two requests
+        for one start cannot both commit; once the log has failed it raises
+        the log's error and its start stays live. The policy is compared with
+        the module alias `_WSI`, since fetching a member through its enum
+        class costs several times a global."""
         writes = set(write_set)
-        table = self.table
         if not writes:
-            if start_ts not in self._active:
+            wal = self.wal
+            if wal is not None and wal.error is not None:
+                raise wal.error  # fail-stop, before the start leaves the live set
+            appended = self._active.pop(start_ts, None)
+            if appended is None:
                 raise DuplicateRequestError(f"transaction {start_ts} is not live")
-            ack = None
-            if self.wal is not None:
-                ack = self.wal.append(WalRecord(KIND_COMMIT, start_ts, start_ts, ()))
-            table.commit_records[start_ts] = start_ts
-            self._active.discard(start_ts)
-            if ack is not None:
-                ack.wait()
+            if wal is not None and appended > wal.durable:
+                DurableAck(wal, appended).wait()  # a commit in the snapshot is not yet durable
             return _new_tuple(CommitDecision, (True, start_ts, None))
         writes = tuple(sorted(writes))
+        table = self.table
         checked = read_set if self.policy is _WSI else writes
         ack = None
         with self._lock:
@@ -314,6 +328,7 @@ class StatusOracle:
         with self._lock:
             for start_ts in self._active:
                 self.store.purge_aborted(start_ts)
+            self._aborts += len(self._active)
             self._active.clear()
 
     # -- internals -----------------------------------------------------------
@@ -326,7 +341,7 @@ class StatusOracle:
             ack = self.wal.append(WalRecord(KIND_COMMIT, start_ts, tc, rows))
         self.table.apply_commit(start_ts, tc, rows)
         self.store.install(start_ts, tc)
-        self._active.discard(start_ts)
+        self._active.pop(start_ts, None)
         self._writing_commits += 1
         return tc, ack
 
@@ -334,5 +349,5 @@ class StatusOracle:
         if self.wal is not None and self.wal.error is not None:
             raise self.wal.error  # fail-stop: no append raises it for an abort
         self.store.purge_aborted(start_ts)
-        self._active.discard(start_ts)
-
+        self._active.pop(start_ts, None)
+        self._aborts += 1

@@ -5,9 +5,10 @@ writes as tentative versions, and tracks the row identifiers it actually read
 and wrote. The handle talks to the status oracle itself: commit submits both
 sets, and the oracle alone decides which of them the policy checks; abort
 reports the abandonment. A handle that wrote nothing commits at its start
-timestamp, without the oracle's lock. The oracle draws start timestamps,
-installs committed versions in the store and discards aborted ones, so reads
-never consult it. The database only opens the oracle, which builds the
+timestamp, without the oracle's lock and with no log record: its commit
+returns once every commit its snapshot holds is durable. The oracle draws
+start timestamps, installs committed versions in the store and discards
+aborted ones, so reads never consult it. The database only opens the oracle, which builds the
 timestamp source and the store. Every handle operation compares its state
 with module aliases of the `HandleState` members, since fetching a member
 through its enum class costs several times a global.
@@ -115,8 +116,11 @@ class Database:
         block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> "Database":
         """Shorthand for a database opened on `WriteAheadLog(path)`, which
-        recovers oracle state from the log and resumes appending to it. The
-        store itself is not persisted; only oracle state survives a crash."""
+        recovers oracle state from the log and resumes appending to it: the
+        commit table of the writing commits, and timestamps above the highest
+        reservation. Read-only commits and aborts leave no record, so no
+        outcome of theirs is recovered. The store itself is not persisted;
+        only oracle state survives a crash."""
         return cls(policy, capacity=capacity, wal=WriteAheadLog(path), block_size=block_size)
 
     def begin(self) -> Transaction:

@@ -31,11 +31,21 @@ header found at another place from being taken for a batch there.
 A new log is created atomically (see _create). An empty file, or one holding
 a strict prefix of the magic, is a log whose creation never finished and opens
 as a new log; a log of another format version is refused.
+
+The engine logs writing commits and timestamp reservations only; a
+read-only commit waits, through `appended` and `durable` (the sequence
+numbers of the last appended and last durable record), for the commits its
+snapshot holds. A log has one owner: opening it takes an exclusive `flock`
+on the sibling file `<path>.lock` until close(), so a second opener, in this
+process or another, is refused. The lock is on a file of its own because
+`_create` renames a new inode over the log's path. read_records() takes no
+lock.
 """
 
 from __future__ import annotations
 
 import errno
+import fcntl
 import os
 import re
 import struct
@@ -251,6 +261,23 @@ def _create(path: str) -> None:
         os.close(dir_fd)
 
 
+def _lock_owner(path: str) -> int:
+    """Open the lock file of the log at `path` and lock it exclusively; the
+    returned fd holds the lock until it is closed. A log opened elsewhere
+    raises WalError."""
+    lock_path = path + ".lock"
+    fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        raise WalError(f"{path}: log is already open ({lock_path} is locked)") from None
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
 def _pwrite(fd: int, data, offset: int) -> None:
     written = os.pwrite(fd, data, offset)
     if written != len(data):
@@ -274,7 +301,8 @@ class WriteAheadLog:
     `recovered` for the status oracle to replay, and the file is cut back to
     the end of the last intact batch, so new appends start at a clean
     boundary. A file holding only part of the magic is a log whose creation
-    crashed and is created anew. After close() every append raises
+    crashed and is created anew. Opening a log that is already open raises
+    WalError (see the module docstring). After close() every append raises
     WalClosedError. `policy` is accepted and ignored (see BatchPolicy).
     """
 
@@ -282,27 +310,31 @@ class WriteAheadLog:
         self.path = str(path)
         self.flush_count = 0
         self.error: WalError | None = None
-        self._lock = threading.Lock()  # guards the buffer, _appended and closed
+        self._lock = threading.Lock()  # guards the buffer, appended and closed
         self._flush_lock = threading.Lock()  # held by the waiter that writes and syncs
         self._buf: list[bytes] = []
-        self._appended = 0  # sequence number of the last appended record
-        self._durable = 0  # sequence number of the last durable record
+        self.appended = 0  # sequence number of the last appended record
+        self.durable = 0  # sequence number of the last durable record
         self.closed = False
-        data = b""
-        if os.path.exists(self.path):
-            with open(self.path, "rb") as f:
-                data = f.read()
-        self.recovered, self._end = _scan(data, self.path)
-        if self._end == 0:  # a new log (see _scan)
-            _create(self.path)
-            self._end = len(MAGIC)
-        self._fd = os.open(self.path, os.O_RDWR)
-        if len(data) > self._end:  # drop a torn tail or the zero tail
-            try:
+        self._lock_fd = _lock_owner(self.path)
+        self._fd = -1
+        try:
+            data = b""
+            if os.path.exists(self.path):
+                with open(self.path, "rb") as f:
+                    data = f.read()
+            self.recovered, self._end = _scan(data, self.path)
+            if self._end == 0:  # a new log (see _scan)
+                _create(self.path)
+                self._end = len(MAGIC)
+            self._fd = os.open(self.path, os.O_RDWR)
+            if len(data) > self._end:  # drop a torn tail or the zero tail
                 os.ftruncate(self._fd, self._end)
-            except OSError:
+        except BaseException:
+            if self._fd >= 0:
                 os.close(self._fd)
-                raise
+            os.close(self._lock_fd)
+            raise
         self._allocated = self._end  # the file's size: zero-filled beyond _end
 
     def append(self, rec: WalRecord) -> DurableAck:
@@ -313,30 +345,33 @@ class WriteAheadLog:
             if self.closed:
                 raise WalClosedError("append to closed log")
             self._buf.append(frame)
-            self._appended += 1
-            return DurableAck(self, self._appended)
+            self.appended += 1
+            return DurableAck(self, self.appended)
 
     def close(self) -> None:
-        """Flush what is still buffered, trim the zero tail and close the file;
-        idempotent."""
+        """Flush what is still buffered, trim the zero tail, close the file and
+        release the log; idempotent."""
         with self._lock:
             if self.closed:
                 return
             self.closed = True
-            last = self._appended
+            last = self.appended
         try:
             self._wait(last)
             with self._flush_lock:
                 if self._allocated > self._end:
                     os.ftruncate(self._fd, self._end)
         finally:
-            os.close(self._fd)
+            try:
+                os.close(self._fd)
+            finally:
+                os.close(self._lock_fd)
 
     def _wait(self, seq: int) -> None:
-        if self._durable >= seq:
+        if self.durable >= seq:
             return
         with self._flush_lock:
-            if self._durable < seq:
+            if self.durable < seq:
                 if self.error is not None:
                     raise self.error
                 self._flush()
@@ -347,7 +382,7 @@ class WriteAheadLog:
         go on during the write and the sync."""
         with self._lock:
             records, self._buf = self._buf, []
-            last = self._appended
+            last = self.appended
         body = b"".join(records)
         # the header's last field is the checksum of the bytes before it
         head = _HEADER.pack(self._end, len(body), zlib.crc32(body), 0)[:_HEAD_CRC_AT]
@@ -365,7 +400,7 @@ class WriteAheadLog:
             self.error = WalError("wal flush interrupted")
             raise
         self._end = end
-        self._durable = last
+        self.durable = last
         self.flush_count += 1
 
     def _grow(self, end: int) -> None:

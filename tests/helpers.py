@@ -103,9 +103,10 @@ def drive_schedule(schedule, policy: IsolationPolicy, capacity: int | None = Non
 class TableTwin:
     """Independent model of the bounded last-committer table.
 
-    Eviction is a plain min-scan over (commit ts, row) rather than the
-    table's ordered front, so it shares no code with the implementation
-    under test.
+    Read-only commits are kept apart from writing ones: the table holds no
+    outcome of theirs. Eviction is a plain min-scan over (commit ts, row)
+    rather than the table's ordered front, so it shares no code with the
+    implementation under test.
     """
 
     def __init__(self, capacity: int | None):
@@ -113,6 +114,7 @@ class TableTwin:
         self.last_commit: dict[bytes, int] = {}
         self.t_max = 0
         self.commit_records: dict[int, int] = {}
+        self.read_only: set[int] = set()
         self.aborted: set[int] = set()
 
     def apply_commit(self, start_ts: int, commit_ts: int, rows) -> None:
@@ -125,6 +127,9 @@ class TableTwin:
                 ts = self.last_commit.pop(victim)
                 if ts > self.t_max:
                     self.t_max = ts
+
+    def apply_read_only(self, start_ts: int) -> None:
+        self.read_only.add(start_ts)
 
     def apply_abort(self, start_ts: int) -> None:
         self.aborted.add(start_ts)

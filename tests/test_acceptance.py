@@ -283,7 +283,11 @@ def test_c6_crash_recovery_equivalence(tmp_path, capsys):
                     ws = frozenset(rng.sample(rows, rng.randint(0, 3)))
                     rs = frozenset(rng.sample(rows, rng.randint(0, 3))) if ws else frozenset()
                     decision = oracle.submit(start, ws, rs)
-                    if decision.committed:
+                    if not ws:  # read-only: commits at its start, with no record
+                        if decision != (True, start, None):
+                            violations.append((trial, "read-only decision", start, decision))
+                        twin.apply_read_only(start)
+                    elif decision.committed:
                         issued.append(decision.commit_ts)
                         twin.apply_commit(start, decision.commit_ts, ws)
                     else:
@@ -313,12 +317,12 @@ def test_c6_crash_recovery_equivalence(tmp_path, capsys):
         if fresh & set(issued):
             violations.append((trial, "timestamp reissued"))
         # presumed abort: an oracle opened on the crashed log refuses every
-        # start decided before the kill, aborted ones included, and every
-        # start live at it
+        # start decided before the kill, aborted and read-only ones included,
+        # and every start live at it
         copy = tmp_path / f"crash{trial}.copy.wal"
         shutil.copyfile(path, copy)
         reopened = StatusOracle(WSI, capacity=16, wal=WriteAheadLog(copy))
-        for start in twin.aborted | twin.commit_records.keys() | set(live):
+        for start in twin.aborted | twin.read_only | twin.commit_records.keys() | set(live):
             for request in (
                 lambda: reopened.submit(start, (rows[0],), (rows[1],)),
                 lambda: reopened.submit(start, ()),

@@ -49,7 +49,7 @@ def test_si_write_write_conflict_aborts_later_committer():
     d1 = oracle.submit(1, {b"x"})  # lastCommit(x)=3 > 1
     assert (d1.committed, d1.cause) == (False, "conflict")
     assert d2.cause is None
-    assert 1 not in oracle.table.commit_records and oracle._active == set()
+    assert 1 not in oracle.table.commit_records and oracle._active == {}
     with pytest.raises(DuplicateRequestError, match="transaction 1 is not live"):
         oracle.report_abort(1)
 
@@ -137,8 +137,8 @@ def test_read_only_commit_takes_no_lock_and_draws_no_timestamp():
     assert returned
     assert decisions == [CommitDecision(True, start)]
     assert ts.last_issued() == start
-    assert oracle.table.commit_records == {start: start}
-    assert oracle._active == set()
+    assert oracle.table.commit_records == {}
+    assert oracle._active == {}
 
 
 def test_generator_sets_are_materialized_before_the_policy_applies():
@@ -281,8 +281,8 @@ def test_read_only_commit_request_after_a_read_only_commit_is_rejected():
     assert oracle.submit(start, (), {b"x"}).committed
     with pytest.raises(DuplicateRequestError):
         oracle.submit(start, ())
-    assert oracle.table.commit_records == {start: start}
-    assert oracle._active == {live}
+    assert oracle.table.commit_records == {}
+    assert oracle._active.keys() == {live}
     assert oracle.read_only_commits == 1
 
 
@@ -293,6 +293,7 @@ class RefusingLog:
     error = None  # read by start(); a stopped log's own error is not needed here
     closed = False
     recovered = []  # a new log: nothing to replay
+    appended = durable = 0  # no record is ever pending
 
     def append(self, record):
         if record.kind != KIND_TS_RESERVE:
@@ -303,14 +304,18 @@ class RefusingLog:
         return None
 
 
-def test_read_only_commit_whose_record_is_refused_leaves_no_outcome_and_stays_live():
+def test_read_only_commit_appends_nothing_to_a_log_that_refuses_decisions():
     oracle = StatusOracle(WSI, wal=RefusingLog())
-    start = oracle.start()
-    with pytest.raises(OSError):
-        oracle.submit(start, (), {b"x"})
+    reader, writer = oracle.start(), oracle.start()
+    assert oracle.submit(reader, (), {b"x"}) == CommitDecision(True, reader)
     assert oracle.table.commit_records == {}
-    assert oracle._active == {start}
-    assert oracle.committed_count == 0
+    assert oracle._active.keys() == {writer}
+    assert oracle.committed_count == oracle.read_only_commits == 1
+    with pytest.raises(OSError):
+        oracle.submit(writer, {b"x"})  # a writing commit's record is refused
+    assert oracle.table.commit_records == {}
+    assert oracle._active.keys() == {writer}
+    assert oracle.committed_count == 1
 
 
 def test_every_decision_is_an_ordinary_commit_decision():
@@ -338,13 +343,13 @@ def test_report_abort_admits_only_a_live_start():
     committed, abandoned, live = oracle.start(), oracle.start(), oracle.start()
     oracle.store.put_tentative(b"y", abandoned, b"gone")
     oracle.report_abort(abandoned)
-    assert oracle._active == {committed, live} and oracle.store._tentative == {}
+    assert oracle._active.keys() == {committed, live} and oracle.store._tentative == {}
     assert oracle.submit(committed, {b"x"}, set()).committed
     records = dict(oracle.table.commit_records)
     for start in (abandoned, committed, ts.last_issued() + 5):
         with pytest.raises(DuplicateRequestError, match=f"transaction {start} is not live"):
             oracle.report_abort(start)
-    assert oracle._active == {live} and oracle.table.commit_records == records
+    assert oracle._active.keys() == {live} and oracle.table.commit_records == records
 
 
 def test_a_start_never_issued_is_refused_and_installs_nothing():
@@ -361,7 +366,7 @@ def test_a_start_never_issued_is_refused_and_installs_nothing():
             with pytest.raises(DuplicateRequestError, match=f"transaction {unissued} is not live"):
                 request()
             assert oracle.table.last_commit == {} and oracle.table.commit_records == {}
-            assert oracle.store.rows() == [] and oracle._active == {1}
+            assert oracle.store.rows() == [] and oracle._active.keys() == {1}
         assert ts.last_issued() == 1
 
 

@@ -50,7 +50,14 @@ def test_op_costs_prints_the_cost_of_each_operation():
     out = run_script("op_costs.py", "--rows", "20", "--number", "50", "--repeat", "2")
     assert out[0] == "op,ns_per_op"
     rows = [row.split(",") for row in out[1:]]
-    assert [op for op, _ in rows] == ["begin", "read", "write", "read_only_commit", "write5_commit"]
+    assert [op for op, _ in rows] == [
+        "begin",
+        "read",
+        "write",
+        "read_only_commit",
+        "durable_read_only_commit",
+        "write5_commit",
+    ]
     assert all(float(ns) > 0 for _, ns in rows)
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import shutil
 import stat
+import subprocess
 import sys
 import threading
 import time
@@ -11,7 +12,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wsikv import wal as wal_module
-from wsikv.oracle import CommitTable, DuplicateRequestError, IsolationPolicy, StatusOracle, recover
+from wsikv.oracle import (
+    CommitDecision,
+    CommitTable,
+    DuplicateRequestError,
+    IsolationPolicy,
+    StatusOracle,
+    recover,
+)
 from wsikv.timestamps import TimestampOracle
 from wsikv.txn import Database, HandleState
 from wsikv.wal import (
@@ -328,6 +336,7 @@ def test_recovery_is_idempotent_across_rewrite(tmp_path):
     wal.append(WalRecord(KIND_TS_RESERVE, reserved_up_to=100)).wait()
     wal.append(WalRecord(KIND_COMMIT, 1, 3, (b"a", b"b"))).wait()
     wal.append(WalRecord(KIND_ABORT, 2)).wait()
+    wal.append(WalRecord(KIND_COMMIT, 4, 4, ())).wait()  # a read-only commit, as older logs hold
     wal.close()
     rewritten = tmp_path / "y.wal"
     wal2 = WriteAheadLog(rewritten)
@@ -342,7 +351,7 @@ def test_recovery_is_idempotent_across_rewrite(tmp_path):
         t2.commit_records,
         h2,
     )
-    assert (t1.commit_records, h1) == ({1: 3}, 100)  # the abort record is skipped
+    assert (t1.commit_records, h1) == ({1: 3}, 100)  # the abort and read-only records are skipped
 
 
 def test_replaying_commits_reproduces_bounded_table(tmp_path):
@@ -662,6 +671,8 @@ def test_torn_write_stops_the_log_and_recovers_to_the_last_whole_record(tmp_path
             ack.wait()
         with pytest.raises(WalError):
             wal.append(WalRecord(KIND_ABORT, 5))
+        with pytest.raises(WalError):
+            wal.close()  # releases the log for the reopen below
         monkeypatch.undo()
         assert [r.start_ts for r in read_records(path)] == [1]
         reopened = WriteAheadLog(path)
@@ -712,32 +723,124 @@ def test_no_sync_runs_under_the_oracle_lock(tmp_path, monkeypatch):
     assert held and not any(held)
 
 
-def test_read_only_commit_returns_once_its_record_is_durable(tmp_path):
+@pytest.mark.parametrize("fails", [False, True])
+def test_read_only_commit_waits_for_the_commits_in_its_snapshot(tmp_path, monkeypatch, fails):
+    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
+    writer = db.begin()  # its block's reservation is durable
+    writer.write(b"x", b"1")
+    sync = _BlockingSync(monkeypatch, fail=fails)
+    committer = threading.Thread(target=_outcome, args=(writer.commit, []))
+    committer.start()
+    assert sync.entered.wait(2.0)  # the writer's commit is appended; its flush blocks
+    reader = db.begin()  # inside the block: appends nothing and waits for nothing
+    assert reader.read(b"x") == b"1"  # the snapshot holds the commit being flushed
+    outcome = []
+    committing = threading.Thread(target=_outcome, args=(reader.commit, outcome))
+    committing.start()
+    committing.join(0.3)
+    waited = committing.is_alive()
+    sync.release.set()
+    _join(committer, committing)
+    assert waited, "a read-only commit returned before its snapshot was durable"
+    if fails:
+        assert outcome == [db.wal.error] and isinstance(outcome[0], WalError)
+        with pytest.raises(WalError):
+            db.close()
+    else:
+        assert outcome == [CommitDecision(True, reader.start_ts)]
+        db.close()
+
+
+def _outcome(call, into):
+    try:
+        into.append(call())
+    except WalError as exc:
+        into.append(exc)
+
+
+def test_read_only_commits_leave_no_state(tmp_path):
     path = tmp_path / "x.wal"
-    db = Database(WSI, wal=WriteAheadLog(path))
-    h = db.begin()
-    h.read(b"x")
-    assert h.commit().committed
-    # nothing else flushes the log, so the commit's own wait made this durable
-    assert WalRecord(KIND_COMMIT, h.start_ts, h.start_ts, ()) in read_records(path)
+    # one block holds every start, so no begin appends a reservation
+    db = Database(WSI, wal=WriteAheadLog(path), block_size=20_000)
+    db.seed_committed(b"x", b"0")  # durable: its commit waited
+    oracle, wal = db.oracle, db.wal
+    state = lambda: (len(oracle.table.commit_records), wal.flush_count, wal._end, wal.appended)
+    before, committed = state(), oracle.committed_count
+    for _ in range(10_000):
+        h = db.begin()
+        assert h.read(b"x") == b"0"
+        assert h.commit() == CommitDecision(True, h.start_ts)
+    assert state() == before
+    assert oracle._active == {}
+    assert oracle.committed_count == committed + 10_000
+    assert oracle.read_only_commits == 10_000
     db.close()
+    commits = [rec for rec in read_records(path) if rec.kind == KIND_COMMIT]
+    assert [rec.rows for rec in commits] == [(b"x",)]  # the seed's record alone
 
 
 def test_read_only_commit_after_a_log_failure_raises_and_stays_active(tmp_path, monkeypatch):
     db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
-    flushed_by_itself, after_failure = db.begin(), db.begin()
+    reader, writer = db.begin(), db.begin()
+    writer.write(b"x", b"1")
     monkeypatch.setattr(wal_module.os, "fdatasync", _failing_sync)
     with pytest.raises(WalError):
-        flushed_by_itself.commit()  # its own record's flush fails
-    assert flushed_by_itself.state is HandleState.ACTIVE
-    records = dict(db.oracle.table.commit_records)
-    with pytest.raises(WalError):
-        after_failure.commit()  # the log has stopped: nothing is appended
-    assert after_failure.state is HandleState.ACTIVE
-    assert db.oracle.table.commit_records == records
-    assert after_failure.start_ts not in records
+        writer.commit()  # its flush fails: the log stops
+    assert reader.read(b"y") is None
+    with pytest.raises(WalError) as raised:
+        reader.commit()  # its snapshot predates the failed commit, yet the log has stopped
+    assert raised.value is db.wal.error
+    assert reader.state is HandleState.ACTIVE
+    assert reader.start_ts in db.oracle._active
+    assert db.oracle.read_only_commits == 0
     with pytest.raises(WalError):
         db.close()
+
+
+def test_a_second_opener_of_a_log_is_refused(tmp_path):
+    path = tmp_path / "x.wal"
+    wal = WriteAheadLog(path)
+    wal.append(WalRecord(KIND_ABORT, 1)).wait()
+    for opening in (lambda: WriteAheadLog(path), lambda: Database.recover(path)):
+        with pytest.raises(WalError, match=f"{path}: log is already open"):
+            opening()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wal_module.__file__)))
+    child = subprocess.run(
+        [sys.executable, "-c", _OPEN_IN_A_CHILD, str(path)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 3, child.stderr
+    assert f"{path}: log is already open" in child.stdout
+    assert [r.start_ts for r in read_records(path)] == [1]  # reading takes no lock
+    wal.append(WalRecord(KIND_ABORT, 2)).wait()  # the first opener keeps working
+    wal.close()
+    reopened = WriteAheadLog(path)  # close() released the log
+    assert [r.start_ts for r in reopened.recovered] == [1, 2]
+    reopened.close()
+
+
+_OPEN_IN_A_CHILD = """
+import sys
+from wsikv.wal import WalError, WriteAheadLog
+try:
+    WriteAheadLog(sys.argv[1])
+except WalError as exc:
+    print(exc)
+    sys.exit(3)
+"""
+
+
+def test_a_refused_open_releases_the_log(tmp_path):
+    path = tmp_path / "x.wal"
+    path.write_bytes(b"not a log")
+    for _ in range(2):  # the second is refused as corrupt again, not as already open
+        with pytest.raises(CorruptLogError):
+            WriteAheadLog(path)
+    path.unlink()
+    WriteAheadLog(path).close()
 
 
 def test_aborts_append_no_record_and_wait_for_no_flush(tmp_path):
@@ -771,7 +874,7 @@ def test_failed_log_stops_the_engine_without_changing_the_table(tmp_path, monkey
         doomed.commit()
     assert doomed.state is HandleState.ACTIVE
     table, active = db.oracle.table, db.oracle._active
-    before = (dict(table.commit_records), dict(table.last_commit), table.t_max, set(active))
+    before = (dict(table.commit_records), dict(table.last_commit), table.t_max, dict(active))
     for attempt in (
         db.begin,
         later.commit,
