@@ -22,7 +22,11 @@ base's by more than the metric's bound. It also prints each tree's
 `src_lines`, the line count of `src/wsikv/*.py` as `wc -l` gives it.
 `--out` writes the runs, that summary and `src_lines` as JSON under the
 workload's name; an existing file keeps its other workloads, so one file can
-collect several invocations.
+collect several invocations. When that file already holds an A/A run of the
+workload under `aa` (the same layout, from a run with `--base HEAD` on a
+clean tree), each metric's summary records the A/A's ratio, and the claim
+must also beat it: an A/A shows how far two copies of one tree drift apart,
+so a gain smaller than that drift is no evidence.
 """
 
 from __future__ import annotations
@@ -51,11 +55,15 @@ def quartiles(values) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(base: list[dict], change: list[dict], declared: list[dict]) -> dict[str, dict]:
+def summarize(base: list[dict], change: list[dict], declared: list[dict],
+              aa: dict[str, float] | None = None) -> dict[str, dict]:
     """Compare paired runs metric by metric.
 
     `base[i]` and `change[i]` map metric names to values for pair i;
-    `declared` is the `end_to_end` list of BENCHMARK.json.
+    `declared` is the `end_to_end` list of BENCHMARK.json. `aa` maps metric
+    names to the ratio an A/A run of the same workload read; a metric it
+    names records that ratio as `aa_ratio`, and its claim also needs a ratio
+    better than it.
     """
     out = {}
     for metric in declared:
@@ -66,15 +74,20 @@ def summarize(base: list[dict], change: list[dict], declared: list[dict]) -> dic
         c_q1, c_med, c_q3 = quartiles(c for _, c in pairs)
         wins = sum((c > b) if higher else (c < b) for b, c in pairs)
         gain = c_med - b_med if higher else b_med - c_med  # positive when the change is better
-        out[name] = {
+        ratio = c_med / b_med
+        claim = 10 * wins >= 9 * len(pairs) and gain > b_q3 - b_q1
+        out[name] = summary = {
             "base": {"q1": b_q1, "median": b_med, "q3": b_q3},
             "change": {"q1": c_q1, "median": c_med, "q3": c_q3},
-            "ratio": c_med / b_med,
+            "ratio": ratio,
             "wins": wins,
             "pairs": len(pairs),
-            "claim_holds": 10 * wins >= 9 * len(pairs) and gain > b_q3 - b_q1,
             "worse_than_bound": -gain > bound * b_med,
         }
+        if aa and name in aa:
+            summary["aa_ratio"] = aa[name]
+            claim = claim and (ratio > aa[name] if higher else ratio < aa[name])
+        summary["claim_holds"] = claim
     return out
 
 
@@ -154,7 +167,10 @@ def main() -> int:
                     print(f"bench_pairs: stopped, {side} run of seed {seed} failed its checks", file=sys.stderr)
                     return 1
 
-    summary = summarize(metric_values(base_runs), metric_values(change_runs), declared)
+    doc = json.loads(args.out.read_text()) if args.out and args.out.exists() else {"workloads": {}}
+    aa = doc.get("aa", {}).get(args.workload)
+    aa_ratios = {name: s["ratio"] for name, s in aa["summary"].items()} if aa else None
+    summary = summarize(metric_values(base_runs), metric_values(change_runs), declared, aa_ratios)
     print(f"{args.workload}: {args.pairs} pairs, base {sha[:12]} against a copy of the working tree")
     print(f"src_lines: base {lines['base']}, change {lines['change']}")
     print(f"{'metric':<14} {'base q1/median/q3':>30} {'change q1/median/q3':>30} {'ratio':>6} "
@@ -164,10 +180,10 @@ def main() -> int:
         print(f"{name:<14} {b['q1']:>10.4g}{b['median']:>10.4g}{b['q3']:>10.4g} "
               f"{c['q1']:>10.4g}{c['median']:>10.4g}{c['q3']:>10.4g} {s['ratio']:>6.3f} "
               f"{s['wins']:>3}/{s['pairs']:<2} {'yes' if s['claim_holds'] else 'no':>5} "
-              f"{'WORSE' if s['worse_than_bound'] else 'ok':>5}")
+              f"{'WORSE' if s['worse_than_bound'] else 'ok':>5}"
+              + (f" A/A ratio {s['aa_ratio']:.3f}" if "aa_ratio" in s else ""))
 
     if args.out:
-        doc = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
         doc["workloads"][args.workload] = {
             "base": sha,
             "seconds": args.seconds,

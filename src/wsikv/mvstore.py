@@ -104,6 +104,27 @@ class VersionedStore:
         i = bisect.bisect_left(versions, (reader_start_ts,))  # first at or after it
         return versions[i - 1][1] if i else None
 
+    def newest_read(self, rows, reader_start_ts: int) -> int:
+        """The newest commit timestamp among the committed versions of `rows`
+        that a reader starting at `reader_start_ts` sees, found as
+        snapshot_read finds them; 0 when it sees none. The reader must still
+        be live, so that `compact` keeps every version it sees."""
+        committed = self._committed
+        newest = 0
+        for row in rows:
+            versions = committed.get(row)
+            if versions is None:
+                continue
+            seen = versions[-1][0]
+            if seen >= reader_start_ts:
+                i = bisect.bisect_left(versions, (reader_start_ts,))
+                if not i:
+                    continue
+                seen = versions[i - 1][0]
+            if seen > newest:
+                newest = seen
+        return newest
+
     def purge_aborted(self, writer_start_ts: int) -> None:
         """Drop every tentative version of a writer; the oracle calls this when
         it decides an abort. No-op for a writer that wrote nothing."""

@@ -33,14 +33,22 @@ table itself. Opening it on a log is recovery: `replay` rebuilds the table
 from the records the log read, and timestamps resume above the highest
 persisted reservation; `recover` does the same from a log file, read-only.
 A read-only commit takes no lock, draws no timestamp, and logs and stores
-nothing: it leaves the live set in one atomic operation (see the store's list
-(c)) and then waits until every commit its snapshot holds is durable, as in
-the commit-dependency tracking of early lock release (Johnson et al.,
-"Aether", VLDB 2010). start() records beside each live start the log's last
-appended sequence number; every writing commit is appended inside the lock,
-so every commit the snapshot sees lies at or below that number. No log flush
-is waited for while the lock is held: a commit or a start only appends to the
-log inside it and waits for durability after releasing it.
+nothing: it returns once every version it read is durable, and then leaves
+the live set in one atomic operation (see the store's list (c)). It waits
+only on the dependencies it took, as in the commit-dependency tracking of
+early lock release (Johnson et al., "Aether", VLDB 2010) and controlled lock
+violation (Graefe et al., SIGMOD 2013). start() records beside each live
+start the log's last appended sequence number; every writing commit is
+appended inside the lock, so every commit the snapshot sees lies at or below
+that number. When a record up to it is not yet durable, the store names the
+newest commit among the versions the reader saw, and the commit waits only if
+that commit is above the log's `durable_ts`: a reader that saw no version not
+yet durable read exactly what recovery holds at its start, so its place in
+the serial order survives a crash. The start stays live until the wait is
+over, so gc() keeps every version it saw, and a wait that raises leaves it
+live. No log flush is waited for while the lock is held: a commit or a start
+only appends to the log inside it and waits for durability after releasing
+it.
 """
 
 from __future__ import annotations
@@ -171,7 +179,7 @@ class StatusOracle:
     registers them as live, and gc() cuts the store's rows holding three or
     more versions, inside the same lock. A request that writes nothing
     commits outside it, at its start timestamp, logs and stores nothing, and
-    returns once every commit in its snapshot is durable. A writing commit
+    returns once every version it read is durable. A writing commit
     is appended to the write-ahead log before it changes any state, so a
     record that cannot be logged leaves the oracle as it was; appending only
     buffers, and the caller waits for durability after the lock is released. An abort waits
@@ -219,7 +227,8 @@ class StatusOracle:
     def start(self) -> int:
         """Draw a start timestamp and register it as live; no commit is half
         installed at that moment. Return it once its block's reservation is
-        durable, waited for after the lock is released. Once the log has
+        durable, waited for after the lock is released and only while it is
+        not. Once the log has
         failed, raise its error: no reader may see a commit whose record may
         not be durable. Once it is closed, raise WalClosedError wherever
         issuance is in its block; either way nothing is drawn."""
@@ -234,7 +243,7 @@ class StatusOracle:
             self._active[ts] = appended
             self._started += 1
             reserved = self.timestamps.block_ack
-        if reserved is not None:
+        if reserved is not None and reserved.seq > wal.durable:
             reserved.wait()
         return ts
 
@@ -252,7 +261,7 @@ class StatusOracle:
         """Decide a commit request under the oracle's policy: SI checks the
         write set, WSI the read set, and a request with no writes commits
         unchecked under either, at its start timestamp, without the lock,
-        and waits only until the commits in its snapshot are durable.
+        and returns once every version it read is durable.
 
         The write set is sorted once, before the lock is taken, because a
         commit applies and logs its rows in that order; WSI walks the read
@@ -262,21 +271,26 @@ class StatusOracle:
         checked row is untracked while t_max is above the start. Either set
         may be any iterable, walked once, so the write set is tested once
         materialized, and sorted only when it holds a row. A read-only request
-        is admitted and leaves the live set in one atomic pop, so two requests
-        for one start cannot both commit; once the log has failed it raises
-        the log's error and its start stays live. The policy is compared with
+        checks, waits and then leaves the live set in one atomic pop, so two
+        requests for one start cannot both commit; once the log has failed,
+        or when its wait raises, it raises the log's error and its start
+        stays live. A request for a start that is not live raises a failed
+        log's error before DuplicateRequestError. The policy is compared with
         the module alias `_WSI`, since fetching a member through its enum
         class costs several times a global."""
         writes = set(write_set)
         if not writes:
             wal = self.wal
-            if wal is not None and wal.error is not None:
-                raise wal.error  # fail-stop, before the start leaves the live set
-            appended = self._active.pop(start_ts, None)
-            if appended is None:
-                raise DuplicateRequestError(f"transaction {start_ts} is not live")
-            if wal is not None and appended > wal.durable:
-                DurableAck(wal, appended).wait()  # a commit in the snapshot is not yet durable
+            if wal is not None:
+                if wal.error is not None:
+                    raise wal.error  # fail-stop: the start stays live
+                # 0 for a start that is not live: the pop below refuses it
+                appended = self._active.get(start_ts, 0)
+                # the walk runs while the start is live, so gc() keeps what it reads
+                if appended > wal.durable and self.store.newest_read(read_set, start_ts) > wal.durable_ts:
+                    DurableAck(wal, appended).wait()  # a version read is not yet durable
+            if self._active.pop(start_ts, None) is None:
+                raise self._not_live(start_ts)
             return _new_tuple(CommitDecision, (True, start_ts, None))
         writes = tuple(sorted(writes))
         table = self.table
@@ -284,7 +298,7 @@ class StatusOracle:
         ack = None
         with self._lock:
             if start_ts not in self._active:
-                raise DuplicateRequestError(f"transaction {start_ts} is not live")
+                raise self._not_live(start_ts)
             cause = None
             last_commit = table.last_commit
             stale = table.t_max > start_ts  # an untracked row may have committed since
@@ -316,10 +330,12 @@ class StatusOracle:
 
     def report_abort(self, start_ts: int) -> None:
         """Abort a live transaction at its client's request and discard its
-        writes; a start that is not live raises DuplicateRequestError."""
+        writes. Once the log has failed, raise its error, also for a start
+        whose commit raised it; otherwise a start that is not live raises
+        DuplicateRequestError."""
         with self._lock:
             if start_ts not in self._active:
-                raise DuplicateRequestError(f"transaction {start_ts} is not live")
+                raise self._not_live(start_ts)
             self._abort_locked(start_ts)
 
     def close(self) -> None:
@@ -332,6 +348,15 @@ class StatusOracle:
             self._active.clear()
 
     # -- internals -----------------------------------------------------------
+
+    def _not_live(self, start_ts: int) -> Exception:
+        """What a decision on a start that is not live raises: the log's error
+        once it has failed, since fail-stop comes first, else
+        DuplicateRequestError."""
+        wal = self.wal
+        if wal is not None and wal.error is not None:
+            return wal.error
+        return DuplicateRequestError(f"transaction {start_ts} is not live")
 
     def _commit_locked(self, start_ts: int, rows: tuple[RowId, ...]):
         """Commit with `rows`, the sorted non-empty write set; returns (commit ts, ack)."""

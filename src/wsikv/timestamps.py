@@ -10,9 +10,10 @@ the oracle appends the first block's reservation, and the draw that enters a
 block appends the next block's, so a reservation is normally made durable by
 an earlier flush before issuance reaches its block. `block_ack` acknowledges
 the reservation of the block issuance is in: StatusOracle.start() waits for
-it after releasing its lock, while a commit timestamp needs no wait of its
-own, because the commit's record follows the reservation in the log and the
-committer waits for that record. After a crash the status oracle builds it
+it after releasing its lock, when its sequence number is not yet durable,
+while a commit timestamp needs no wait of its own, because the commit's
+record follows the reservation in the log and the committer waits for that
+record. After a crash the status oracle builds it
 with `start_after` set to the highest persisted reservation, so issuance
 resumes above it and an abandoned block is never reused.
 """

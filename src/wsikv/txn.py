@@ -6,7 +6,7 @@ and wrote. The handle talks to the status oracle itself: commit submits both
 sets, and the oracle alone decides which of them the policy checks; abort
 reports the abandonment. A handle that wrote nothing commits at its start
 timestamp, without the oracle's lock and with no log record: its commit
-returns once every commit its snapshot holds is durable. The oracle draws
+returns once every version it read is durable. The oracle draws
 start timestamps, installs committed versions in the store and discards
 aborted ones, so reads never consult it. The database only opens the oracle, which builds the
 timestamp source and the store. Every handle operation compares its state

@@ -32,14 +32,17 @@ A new log is created atomically (see _create). An empty file, or one holding
 a strict prefix of the magic, is a log whose creation never finished and opens
 as a new log; a log of another format version is refused.
 
-The engine logs writing commits and timestamp reservations only; a
-read-only commit waits, through `appended` and `durable` (the sequence
-numbers of the last appended and last durable record), for the commits its
-snapshot holds. A log has one owner: opening it takes an exclusive `flock`
-on the sibling file `<path>.lock` until close(), so a second opener, in this
-process or another, is refused. The lock is on a file of its own because
-`_create` renames a new inode over the log's path. read_records() takes no
-lock.
+The engine logs writing commits and timestamp reservations only. A read-only
+commit returns once every version it read is durable: it reads `durable_ts`,
+the commit timestamp of the last durable commit record, and waits through
+`appended` and `durable` (the sequence numbers of the last appended and last
+durable record) only when a version it read is above `durable_ts`. The
+status oracle appends commit records in commit-timestamp order, so every
+commit at or below `durable_ts` is durable. A log has one owner: opening it
+takes an exclusive `flock` on the sibling file `<path>.lock` until close(),
+so a second opener, in this process or another, is refused. The lock is on a
+file of its own because `_create` renames a new inode over the log's path.
+read_records() takes no lock.
 """
 
 from __future__ import annotations
@@ -152,16 +155,17 @@ class BatchPolicy:
 
 
 class DurableAck:
-    """Handle for one appended record; wait() returns once the record is durable."""
+    """Handle for one appended record, whose sequence number is `seq`;
+    wait() returns once the record is durable."""
 
-    __slots__ = ("_log", "_seq")
+    __slots__ = ("_log", "seq")
 
     def __init__(self, log: "WriteAheadLog", seq: int):
         self._log = log
-        self._seq = seq
+        self.seq = seq
 
     def wait(self) -> None:
-        self._log._wait(self._seq)
+        self._log._wait(self.seq)
 
 
 def _header_at(data: bytes, off: int) -> tuple[int, int] | None:
@@ -310,11 +314,15 @@ class WriteAheadLog:
         self.path = str(path)
         self.flush_count = 0
         self.error: WalError | None = None
-        self._lock = threading.Lock()  # guards the buffer, appended and closed
+        self._lock = threading.Lock()  # guards the buffer, appended, _appended_ts and closed
         self._flush_lock = threading.Lock()  # held by the waiter that writes and syncs
         self._buf: list[bytes] = []
         self.appended = 0  # sequence number of the last appended record
         self.durable = 0  # sequence number of the last durable record
+        self._appended_ts = 0  # commit timestamp of the last appended commit record
+        # commit timestamp of the last commit record this log made durable; 0
+        # before the first, which at worst makes a read-only commit wait
+        self.durable_ts = 0
         self.closed = False
         self._lock_fd = _lock_owner(self.path)
         self._fd = -1
@@ -345,6 +353,8 @@ class WriteAheadLog:
             if self.closed:
                 raise WalClosedError("append to closed log")
             self._buf.append(frame)
+            if rec.kind == KIND_COMMIT:
+                self._appended_ts = rec.commit_ts
             self.appended += 1
             return DurableAck(self, self.appended)
 
@@ -382,7 +392,7 @@ class WriteAheadLog:
         go on during the write and the sync."""
         with self._lock:
             records, self._buf = self._buf, []
-            last = self.appended
+            last, last_ts = self.appended, self._appended_ts
         body = b"".join(records)
         # the header's last field is the checksum of the bytes before it
         head = _HEADER.pack(self._end, len(body), zlib.crc32(body), 0)[:_HEAD_CRC_AT]
@@ -400,6 +410,7 @@ class WriteAheadLog:
             self.error = WalError("wal flush interrupted")
             raise
         self._end = end
+        self.durable_ts = last_ts  # before durable: whoever sees durable advance sees it too
         self.durable = last
         self.flush_count += 1
 

@@ -294,6 +294,7 @@ class RefusingLog:
     closed = False
     recovered = []  # a new log: nothing to replay
     appended = durable = 0  # no record is ever pending
+    seq = 0  # as its own ack: durable already
 
     def append(self, record):
         if record.kind != KIND_TS_RESERVE:

@@ -133,6 +133,47 @@ def test_bench_pairs_claim_needs_nine_wins_in_ten_and_a_gain_beyond_the_base_spr
     assert not s["txn_per_s"]["worse_than_bound"]
 
 
+def test_bench_pairs_claim_must_also_beat_the_a_a_ratio():
+    summarize = load_bench_pairs().summarize
+    base = [{"txn_per_s": 100.0 + i, "read_p50_us": 2.0 - 0.1 * i} for i in range(10)]
+    # txn_per_s: ratio 114.5 / 104.5, about 1.096; read_p50_us: ratio 0.955 / 1.55, about 0.616
+    change = [{"txn_per_s": 110.0 + i, "read_p50_us": 1.0 - 0.01 * i} for i in range(10)]
+    assert all(s["claim_holds"] and "aa_ratio" not in s for s in summarize(base, change, DECLARED).values())
+    # an A/A that drifted further than the change gained refuses the claim
+    s = summarize(base, change, DECLARED, {"txn_per_s": 1.10, "read_p50_us": 0.6})
+    assert (s["txn_per_s"]["aa_ratio"], s["read_p50_us"]["aa_ratio"]) == (1.10, 0.6)
+    assert not s["txn_per_s"]["claim_holds"] and not s["read_p50_us"]["claim_holds"]
+    # one it beats leaves the claim standing; a metric the A/A lacks is judged as before
+    s = summarize(base, change, DECLARED, {"txn_per_s": 1.09})
+    assert s["txn_per_s"]["claim_holds"] and s["read_p50_us"]["claim_holds"]
+    assert "aa_ratio" not in s["read_p50_us"]
+
+
+def test_bench_pairs_reads_the_a_a_stored_in_the_out_file(tmp_path, monkeypatch):
+    bench_pairs = load_bench_pairs()
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    result = {"correct": True, "failed": 0, "metrics": {m["name"]: {"value": 1.0} for m in declared}}
+
+    def fake_run(cmd, cwd, **kwargs):  # every run reads 1.0 on every metric
+        out = f'machine: {{"nproc": 2}}\n{json.dumps(result)}\n'
+        return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "export_worktree", lambda into: None)
+    monkeypatch.setattr(bench_pairs, "subprocess", type("Stub", (), {"run": staticmethod(fake_run)}))
+    out = tmp_path / "bench.json"
+    aa = {"base": "0" * 40, "summary": {"txn_per_s": {"ratio": 0.98}}}
+    out.write_text(json.dumps({"aa": {"w": aa, "other": {}}, "workloads": {}}))
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--base", "HEAD", "--workload", "w", "--pairs", "2",
+                                      "--seconds", "1", "--seed-start", "1", "--out", str(out)])
+    assert bench_pairs.main() == 0
+    doc = json.loads(out.read_text())
+    assert doc["aa"]["w"] == aa  # kept as it was
+    summary = doc["workloads"]["w"]["summary"]
+    assert summary["txn_per_s"]["aa_ratio"] == 0.98
+    assert "aa_ratio" not in summary["commit_p50_us"]
+
+
 def test_bench_pairs_counts_library_lines_like_wc(tmp_path):
     src_lines = load_bench_pairs().src_lines
     lib = tmp_path / "src" / "wsikv"

@@ -233,6 +233,8 @@ class _CommitFailWal:
 
     def append(self, rec):
         class _Ack:
+            seq = 1  # above durable, so every ack is waited for
+
             def wait(self, timeout=None):
                 if rec.kind == KIND_COMMIT:
                     raise WalError("flush failed")

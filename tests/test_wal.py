@@ -3,6 +3,7 @@ import os
 import random
 import shutil
 import stat
+import struct
 import subprocess
 import sys
 import threading
@@ -744,6 +745,13 @@ def test_read_only_commit_waits_for_the_commits_in_its_snapshot(tmp_path, monkey
     assert waited, "a read-only commit returned before its snapshot was durable"
     if fails:
         assert outcome == [db.wal.error] and isinstance(outcome[0], WalError)
+        # the failed read-only commit is still live and counted as no commit
+        assert reader.state is HandleState.ACTIVE and reader.start_ts in db.oracle._active
+        assert db.oracle.read_only_commits == 0
+        for h in (reader, writer):  # either handle's abort meets the log's error first
+            with pytest.raises(WalError) as raised:
+                h.abort()
+            assert raised.value is db.wal.error
         with pytest.raises(WalError):
             db.close()
     else:
@@ -756,6 +764,219 @@ def _outcome(call, into):
         into.append(call())
     except WalError as exc:
         into.append(exc)
+
+
+def _commit_in_flight(db, monkeypatch, row):
+    """Begin a writer of `row` and commit it in a thread whose flush blocks;
+    returns (the blocked sync, the committing thread) once it is appended."""
+    writer = db.begin()
+    writer.write(row, b"in flight")
+    sync = _BlockingSync(monkeypatch)
+    committer = threading.Thread(target=writer.commit)
+    committer.start()
+    assert sync.entered.wait(2.0)
+    return sync, committer
+
+
+def _wait_until(condition):
+    deadline = time.monotonic() + 2.0
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def _returns_promptly(call):
+    """Run `call` in a thread; whether it returned within two seconds."""
+    done = threading.Thread(target=call)
+    done.start()
+    done.join(2.0)
+    return not done.is_alive(), done
+
+
+@pytest.mark.parametrize("row, value", [(b"y", b"0"), (b"absent", None)])
+def test_read_only_commit_waits_for_no_commit_it_did_not_read(tmp_path, monkeypatch, row, value):
+    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
+    db.seed_committed(b"y", b"0")  # durable: its commit waited
+    sync, committer = _commit_in_flight(db, monkeypatch, b"x")
+    reader = db.begin()  # its snapshot holds the commit being flushed
+    assert reader.read(row) == value
+    returned, committing = _returns_promptly(reader.commit)
+    sync.release.set()
+    _join(committer, committing)
+    assert returned, "a read-only commit waited for a commit it did not read"
+    assert reader.state is HandleState.COMMITTED
+    db.close()
+
+
+def test_read_only_commit_of_a_durable_version_waits_for_no_newer_commit(tmp_path, monkeypatch):
+    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
+    db.seed_committed(b"x", b"0")
+    later = db.begin()
+    later.write(b"x", b"1")
+    sync, committer = _commit_in_flight(db, monkeypatch, b"y")
+    reader = db.begin()  # its snapshot holds the commit of y being flushed
+    rival = threading.Thread(target=later.commit)  # commits x above the reader's start
+    rival.start()
+    _wait_until(lambda: len(db.oracle.table.commit_records) == 3)
+    assert db.oracle.table.last_commit[b"x"] > reader.start_ts
+    assert reader.read(b"x") == b"0"  # the durable version below the newer one
+    returned, committing = _returns_promptly(reader.commit)
+    sync.release.set()
+    _join(committer, rival, committing)
+    assert returned, "a read-only commit of a durable version waited"
+    db.close()
+
+
+def test_gc_keeps_the_versions_a_waiting_read_only_commit_read(tmp_path, monkeypatch):
+    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
+    db.seed_committed(b"x", b"0")
+    db.seed_committed(b"x", b"1")
+    later = db.begin()
+    later.write(b"x", b"3")
+    sync, committer = _commit_in_flight(db, monkeypatch, b"x")
+    reader = db.begin()
+    assert reader.read(b"x") == b"in flight"
+    committing = threading.Thread(target=reader.commit)
+    committing.start()
+    committing.join(0.3)
+    waiting = committing.is_alive()
+    rival = threading.Thread(target=later.commit)  # a fourth version, above the reader's start
+    rival.start()
+    _wait_until(lambda: len(db.store.versions(b"x")) == 4)
+    db.gc()  # the reader is still live: its version stays
+    kept = [v.value for v in db.store.versions(b"x")]
+    sync.release.set()
+    _join(committer, committing, rival)
+    assert waiting, "a read-only commit of a version being flushed did not wait"
+    assert kept == [b"3", b"in flight"]
+    assert reader.state is HandleState.COMMITTED
+    db.close()
+
+
+def test_durable_ts_is_the_last_synced_commit_and_a_failed_flush_keeps_it(tmp_path, monkeypatch):
+    wal = WriteAheadLog(tmp_path / "x.wal")
+    wal.append(WalRecord(KIND_COMMIT, 1, 2, (b"a",)))
+    ack = wal.append(WalRecord(KIND_TS_RESERVE, reserved_up_to=10))
+    assert wal.durable_ts == 0  # appended, not durable
+    ack.wait()
+    assert (wal.durable, wal.durable_ts) == (2, 2)
+    ack = wal.append(WalRecord(KIND_COMMIT, 3, 4, (b"b",)))
+    monkeypatch.setattr(wal_module.os, "fdatasync", _failing_sync)
+    with pytest.raises(WalError):
+        ack.wait()
+    assert (wal.durable, wal.durable_ts) == (2, 2)
+    with pytest.raises(WalError):
+        wal.close()
+
+
+def test_begin_waits_for_no_ack_once_its_block_is_durable(tmp_path, monkeypatch):
+    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
+    db.begin()  # waits for its block's reservation
+    waits = []
+    wait = wal_module.DurableAck.wait
+    monkeypatch.setattr(wal_module.DurableAck, "wait", lambda ack: (waits.append(ack.seq), wait(ack)))
+    for _ in range(10):
+        db.begin()
+    assert waits == []
+    db.close()
+
+
+class _SyncedCommits:
+    """Wraps os.pwrite and os.fdatasync to track `ts`, the newest commit
+    timestamp in a batch whose sync returned: a record of durability kept
+    apart from the log's own. Both run under the log's flush lock."""
+
+    def __init__(self, monkeypatch):
+        self.ts = 0
+        self._written = b""
+        self._pwrite, self._sync = os.pwrite, os.fdatasync
+        monkeypatch.setattr(wal_module.os, "pwrite", self.pwrite)
+        monkeypatch.setattr(wal_module.os, "fdatasync", self.fdatasync)
+
+    def pwrite(self, fd, data, offset):
+        self._written = bytes(data)  # a flush writes its batch last, after any zero fill
+        return self._pwrite(fd, data, offset)
+
+    def fdatasync(self, fd):
+        self._sync(fd)
+        body, at = self._written, HEADER_SIZE
+        while at < len(body):
+            (length,) = struct.unpack_from("<I", body, at)
+            rec = decode_payload(body[at + 4 : at + 4 + length])
+            if rec.kind == KIND_COMMIT:
+                self.ts = max(self.ts, rec.commit_ts)
+            at += 4 + length
+
+
+@pytest.mark.slow
+def test_read_only_commits_return_only_once_what_they_read_is_durable(tmp_path, monkeypatch):
+    # 2 writers and 2 readers over 4 rows while a thread loops gc(): each
+    # value names its writer's start, and each read-only commit notes, when
+    # it returns, the newest commit timestamp whose batch has synced
+    synced = _SyncedCommits(monkeypatch)
+    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
+    rows = [b"r%d" % i for i in range(4)]
+    for row in rows:
+        h = db.begin()
+        h.write(row, str(h.start_ts).encode())
+        assert h.commit().committed
+    done = threading.Event()
+    observed = []  # per read-only commit: (values read, synced ts, durable_ts) on return
+    errors = []
+
+    def writer(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(400):
+                h = db.begin()
+                for row in rng.sample(rows, rng.randint(1, 2)):
+                    h.write(row, str(h.start_ts).encode())
+                assert h.commit().committed  # WSI checks reads, and writers read nothing
+        except BaseException as exc:
+            errors.append(exc)
+
+    def reader(seed):
+        rng = random.Random(seed)
+        try:
+            while not done.is_set():
+                h = db.begin()
+                values = [h.read(row) for row in rng.sample(rows, rng.randint(1, 3))]
+                assert h.commit().committed
+                observed.append((values, synced.ts, db.wal.durable_ts))
+        except BaseException as exc:
+            errors.append(exc)
+
+    def collector():
+        try:
+            while not done.is_set():
+                db.gc()
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writers = [threading.Thread(target=writer, args=(i,)) for i in range(2)]
+        others = [threading.Thread(target=reader, args=(i + 2,)) for i in range(2)]
+        others.append(threading.Thread(target=collector))
+        for t in writers + others:
+            t.start()
+        for t in writers:
+            t.join(120.0)
+        done.set()
+        for t in others:
+            t.join(60.0)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in writers + others)
+    assert errors == []
+    commit_ts = db.oracle.table.commit_records
+    db.close()
+    assert len(observed) > 100
+    for values, synced_ts, durable_ts in observed:
+        assert durable_ts <= synced_ts
+        for value in values:
+            assert commit_ts[int(value)] <= durable_ts
 
 
 def test_read_only_commits_leave_no_state(tmp_path):
