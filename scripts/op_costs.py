@@ -9,6 +9,9 @@ thread, and the best of `--repeat` timings is printed:
 
 - `begin`: `db.begin()`;
 - `read`: `h.read(row)` on one handle and one loaded row;
+- `read_in_writer`: the same read on a handle that first wrote the five rows
+  `write5_commit` writes, so the read looks past the handle's own writes
+  (the read row is not one of them once `--rows` is 10 or more);
 - `write`: `h.write(row, value)` on one handle and one row;
 - `read_only_commit`: `commit()` of a handle that read one row;
 - `durable_read_only_commit`: the same on a second database, whose write-ahead
@@ -87,11 +90,14 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         durable = Database(wal=WriteAheadLog(os.path.join(tmp, "op_costs.wal")))
         durable.seed_committed(row, VALUE)
-        names = {"db": db, "durable": durable, "row": row, "value": VALUE,
+        names = {"db": db, "durable": durable, "row": row, "value": VALUE, "write_rows": write_rows,
                  "read_only_handles": read_only_handles, "writing_handles": writing_handles}
         costs = {
             "begin": best_ns("db.begin()", "", names, n, repeat, 1),
             "read": best_ns("h.read(row)", "h = db.begin()", names, n, repeat, 1),
+            "read_in_writer": best_ns(
+                "h.read(row)", "h = db.begin()\nfor r in write_rows: h.write(r, value)", names, n, repeat, 1
+            ),
             "write": best_ns("h.write(row, value)", "h = db.begin()", names, n, repeat, 1),
             "read_only_commit": best_ns(
                 "for h in hs: h.commit()", "hs = read_only_handles(db)", names, 1, repeat, n

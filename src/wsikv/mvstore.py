@@ -1,23 +1,21 @@
 """Embedded multi-version key-value store.
 
-A transaction's writes wait as tentative versions in a map of its own, keyed
-by the writer's start timestamp, until the oracle decides it. Only the
-writer's thread adds to that map, and without a lock; the oracle pops the
-whole map in the writer's decision, while the writer waits for it. On commit
-the oracle installs the versions inside its critical section: each becomes a
+The store holds committed versions only: a transaction keeps its writes in
+its own handle until the oracle decides it, so no reader can meet an
+undecided write and an abort leaves nothing here. On commit the oracle
+installs the writes inside its critical section: each becomes a
 (commit timestamp, value) pair appended to its row's committed list, which
 therefore stays ascending by commit timestamp. The store decides which version
 a reader sees; the commit timestamp alone names a version's writer, since no
 two transactions commit at the same timestamp. Start timestamps are drawn in
 that same critical section, so a reader never starts while a commit is half
-installed. On abort the oracle drops the writer's map, so its versions never
-reach a committed list. A transaction always sees its own writes.
+installed.
 
 The oracle's critical section is the store's only writer: `install` and
 `compact` run inside it and nowhere else, so the store has no lock, and no
-read takes one. A snapshot read returns the reader's own write, else the
-row's newest committed version when it committed before the reader started,
-and bisects the list by the reader's start otherwise. That is safe because:
+read takes one. A snapshot read returns the row's newest committed version
+when it committed before the reader started, and bisects the list by the
+reader's start otherwise. That is safe because:
 
 (a) a row's committed list enters the map already holding its first version,
     and `install` appends to it in commit order, so every version installed
@@ -61,27 +59,14 @@ class VersionedStore:
     def __init__(self):
         # per row, (commit ts, value) in commit order
         self._committed: dict[bytes, list[tuple[int, bytes]]] = {}
-        # writer start ts -> row -> tentative value
-        self._tentative: dict[int, dict[bytes, bytes]] = {}
         # each row holding three or more committed versions, once
         self._long: list[bytes] = []
 
-    def put_tentative(self, row: bytes, writer_start_ts: int, value: bytes) -> None:
-        """Write (row, writer) tentatively; a rewrite by the same transaction wins.
-        Only the writer's own thread calls this, before its decision."""
-        mine = self._tentative.get(writer_start_ts)
-        if mine is None:
-            mine = self._tentative[writer_start_ts] = {}
-        mine[row] = value
-
-    def install(self, writer_start_ts: int, commit_ts: int) -> None:
-        """Commit the writer's versions at commit_ts; the oracle calls this in
+    def install(self, writes: dict[bytes, bytes], commit_ts: int) -> None:
+        """Commit `writes`, row -> value, at commit_ts; the oracle calls this in
         commit order, inside its critical section."""
-        mine = self._tentative.pop(writer_start_ts, None)
-        if not mine:
-            return
         committed = self._committed
-        for row, value in mine.items():
+        for row, value in writes.items():
             versions = committed.get(row)
             if versions is None:  # enters the map holding its first version
                 committed[row] = [(commit_ts, value)]
@@ -91,10 +76,7 @@ class VersionedStore:
                     self._long.append(row)
 
     def snapshot_read(self, row: bytes, reader_start_ts: int) -> bytes | None:
-        """The reader's own write, else the value committed latest before its start."""
-        mine = self._tentative.get(reader_start_ts)
-        if mine is not None and row in mine:
-            return mine[row]
+        """The value committed latest before the reader's start."""
         versions = self._committed.get(row)
         if versions is None:
             return None
@@ -125,11 +107,6 @@ class VersionedStore:
                 newest = seen
         return newest
 
-    def purge_aborted(self, writer_start_ts: int) -> None:
-        """Drop every tentative version of a writer; the oracle calls this when
-        it decides an abort. No-op for a writer that wrote nothing."""
-        self._tentative.pop(writer_start_ts, None)
-
     def compact(self, low_watermark: int) -> None:
         """Maintenance GC over the rows holding three or more versions: of a
         row's versions committed strictly below the watermark only the newest
@@ -146,6 +123,16 @@ class VersionedStore:
             if len(versions) > 2:
                 long.append(row)
         self._long = long
+
+    # No-ops that no engine path calls, since a transaction's writes stay in its
+    # handle. Kept only because the traced mode of perfbench/run.py spans them
+    # by name (`instrument()`), as it reads CommitTable.aborted and
+    # wal.BatchPolicy (ROADMAP item 1 removes all four)
+    def put_tentative(self, row: bytes, writer_start_ts: int, value: bytes) -> None:
+        pass
+
+    def purge_aborted(self, writer_start_ts: int) -> None:
+        pass
 
     # -- introspection --------------------------------------------------------
 

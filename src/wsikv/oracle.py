@@ -19,11 +19,12 @@ The oracle owns the transaction lifecycle. Start timestamps are drawn in the
 critical section that decides a commit and installs its versions in the
 store, so no transaction starts while a commit is half installed and the
 store decides visibility without the oracle. A started transaction stays
-live until its decision, which installs its writes or discards them, and the
-oldest live start is the garbage-collection watermark; only a live start
-may be decided. Aborts are presumed, as in R* (Mohan et al., TODS 1986): the
-log and the table hold writing commits only, a start without a commit record
-is aborted, and an abort logs, stores and waits for nothing.
+live until its decision, which installs its writes or leaves them to go with
+its handle, and the oldest live start is the garbage-collection watermark;
+only a live start may be decided. Aborts are presumed, as in R* (Mohan et
+al., TODS 1986): the log and the table hold writing commits only, a start
+without a commit record is aborted, and an abort logs, stores and waits for
+nothing.
 
 The oracle's lock is the one lock of shared transaction state: every draw of
 a timestamp, every writing or aborting decision, every install in the store
@@ -174,21 +175,25 @@ class StatusOracle:
     It builds its commit table, replayed from the records `wal` read when it
     was opened, its timestamp oracle and its store. The conflict check,
     commit-timestamp draw, last-committer update and installation of the
-    committed versions in `store` (or the purge of an aborted writer's
-    versions) form one atomic step; start() draws start timestamps and
-    registers them as live, and gc() cuts the store's rows holding three or
-    more versions, inside the same lock. A request that writes nothing
-    commits outside it, at its start timestamp, logs and stores nothing, and
-    returns once every version it read is durable. A writing commit
-    is appended to the write-ahead log before it changes any state, so a
-    record that cannot be logged leaves the oracle as it was; appending only
-    buffers, and the caller waits for durability after the lock is released. An abort waits
-    for nothing, so its snapshot may hold a commit not yet durable: safe,
-    since an abort promises its client nothing about what it read.
+    committed writes in `store` form one atomic step, and an abort only
+    leaves the live set: the store never held its writes. start() draws
+    start timestamps and registers them as live, and gc() cuts the store's
+    rows holding three or more versions, inside the same lock. A request
+    that writes nothing commits outside it, at its start timestamp, logs and
+    stores nothing, and returns once every version it read is durable. A
+    writing commit is appended to the write-ahead log before it changes any
+    state, so a record that cannot be logged leaves the oracle as it was;
+    appending only buffers, and the caller waits for durability after the
+    lock is released. An abort waits for nothing, so its snapshot may hold a
+    commit not yet durable: safe, since an abort promises its client nothing
+    about what it read.
 
     `committed_count` and `read_only_commits` are exact once no decision is
     in flight. They are derived from counters kept under the lock: a start
-    that is neither live nor aborted committed.
+    that is neither live nor aborted committed. A writing commit whose
+    durability wait raises is counted with the aborts, under the lock once
+    the wait has raised: its client saw the log's error, not a commit. Its
+    versions stay installed, and the failed log stops the engine.
     """
 
     def __init__(
@@ -257,28 +262,28 @@ class StatusOracle:
             # read-only commits leave _active without the lock: one call reads it
             self.store.compact(min(self._active, default=self.timestamps.last_issued() + 1))
 
-    def submit(self, start_ts: int, write_set, read_set=()) -> CommitDecision:
-        """Decide a commit request under the oracle's policy: SI checks the
-        write set, WSI the read set, and a request with no writes commits
-        unchecked under either, at its start timestamp, without the lock,
-        and returns once every version it read is durable.
+    def submit(self, start_ts: int, writes, read_set=()) -> CommitDecision:
+        """Decide a commit request under the oracle's policy: `writes` maps
+        each written row to its value, and the read set holds the rows read.
+        SI checks the written rows, WSI the read set, and a request with no
+        writes commits unchecked under either, at its start timestamp,
+        without the lock, and returns once every version it read is durable.
+        A commit installs `writes` in the store; an abort leaves them to the
+        caller.
 
-        The write set is sorted once, before the lock is taken, because a
-        commit applies and logs its rows in that order; WSI walks the read
-        set as given, inside the lock, with no sort. The abort cause does not
-        depend on the order of the walk: it is "conflict" when any checked
+        The written rows are sorted once, before the lock is taken, because a
+        commit applies and logs its rows in that order; WSI walks the read set
+        once, as given, inside the lock, with no sort. The abort cause does
+        not depend on the order of the walk: it is "conflict" when any checked
         row's last commit is above the start, else "pessimistic" when some
-        checked row is untracked while t_max is above the start. Either set
-        may be any iterable, walked once, so the write set is tested once
-        materialized, and sorted only when it holds a row. A read-only request
-        checks, waits and then leaves the live set in one atomic pop, so two
-        requests for one start cannot both commit; once the log has failed,
-        or when its wait raises, it raises the log's error and its start
-        stays live. A request for a start that is not live raises a failed
-        log's error before DuplicateRequestError. The policy is compared with
-        the module alias `_WSI`, since fetching a member through its enum
-        class costs several times a global."""
-        writes = set(write_set)
+        checked row is untracked while t_max is above the start. A read-only
+        request checks, waits and then leaves the live set in one atomic pop,
+        so two requests for one start cannot both commit; once the log has
+        failed, or when its wait raises, it raises the log's error and its
+        start stays live. A request for a start that is not live raises a
+        failed log's error before DuplicateRequestError. The policy is
+        compared with the module alias `_WSI`, since fetching a member through
+        its enum class costs several times a global."""
         if not writes:
             wal = self.wal
             if wal is not None:
@@ -292,9 +297,9 @@ class StatusOracle:
             if self._active.pop(start_ts, None) is None:
                 raise self._not_live(start_ts)
             return _new_tuple(CommitDecision, (True, start_ts, None))
-        writes = tuple(sorted(writes))
+        rows = tuple(sorted(writes))
         table = self.table
-        checked = read_set if self.policy is _WSI else writes
+        checked = read_set if self.policy is _WSI else rows
         ack = None
         with self._lock:
             if start_ts not in self._active:
@@ -311,7 +316,7 @@ class StatusOracle:
                     cause = "conflict"
                     break
             if cause is None:
-                tc, ack = self._commit_locked(start_ts, writes)
+                tc, ack = self._commit_locked(start_ts, writes, rows)
             else:
                 self._abort_locked(start_ts)
                 if cause == "pessimistic":
@@ -319,7 +324,13 @@ class StatusOracle:
                 else:
                     self.conflict_aborts += 1
         if ack is not None:
-            ack.wait()  # write-ahead discipline: durable before observable
+            try:
+                ack.wait()  # write-ahead discipline: durable before observable
+            except BaseException:
+                with self._lock:  # its client sees no commit: count it with the aborts
+                    self._writing_commits -= 1
+                    self._aborts += 1
+                raise
         if cause is None:
             return _new_tuple(CommitDecision, (True, tc, None))
         return CommitDecision(False, cause=cause)
@@ -329,21 +340,17 @@ class StatusOracle:
         return self.table.commit_records.get(start_ts)
 
     def report_abort(self, start_ts: int) -> None:
-        """Abort a live transaction at its client's request and discard its
-        writes. Once the log has failed, raise its error, also for a start
-        whose commit raised it; otherwise a start that is not live raises
-        DuplicateRequestError."""
+        """Abort a live transaction at its client's request. Once the log has
+        failed, raise its error, also for a start whose commit raised it;
+        otherwise a start that is not live raises DuplicateRequestError."""
         with self._lock:
             if start_ts not in self._active:
                 raise self._not_live(start_ts)
             self._abort_locked(start_ts)
 
     def close(self) -> None:
-        """Abort every live transaction, with no record: discard its writes
-        and forget its start."""
+        """Abort every live transaction, with no record: forget its start."""
         with self._lock:
-            for start_ts in self._active:
-                self.store.purge_aborted(start_ts)
             self._aborts += len(self._active)
             self._active.clear()
 
@@ -358,14 +365,15 @@ class StatusOracle:
             return wal.error
         return DuplicateRequestError(f"transaction {start_ts} is not live")
 
-    def _commit_locked(self, start_ts: int, rows: tuple[RowId, ...]):
-        """Commit with `rows`, the sorted non-empty write set; returns (commit ts, ack)."""
+    def _commit_locked(self, start_ts: int, writes, rows: tuple[RowId, ...]):
+        """Commit `writes`, with `rows` its sorted non-empty keys; returns
+        (commit ts, ack)."""
         tc = self.timestamps.next()
         ack = None
         if self.wal is not None:  # no WalRecord is built when no log is attached
             ack = self.wal.append(WalRecord(KIND_COMMIT, start_ts, tc, rows))
         self.table.apply_commit(start_ts, tc, rows)
-        self.store.install(start_ts, tc)
+        self.store.install(writes, tc)
         self._active.pop(start_ts, None)
         self._writing_commits += 1
         return tc, ack
@@ -373,6 +381,5 @@ class StatusOracle:
     def _abort_locked(self, start_ts: int) -> None:
         if self.wal is not None and self.wal.error is not None:
             raise self.wal.error  # fail-stop: no append raises it for an abort
-        self.store.purge_aborted(start_ts)
         self._active.pop(start_ts, None)
         self._aborts += 1

@@ -1,17 +1,17 @@
 """Client transaction API over the status oracle and the store it builds.
 
-A transaction reads from the snapshot fixed by its start timestamp, buffers
-writes as tentative versions, and tracks the row identifiers it actually read
-and wrote. The handle talks to the status oracle itself: commit submits both
-sets, and the oracle alone decides which of them the policy checks; abort
-reports the abandonment. A handle that wrote nothing commits at its start
-timestamp, without the oracle's lock and with no log record: its commit
-returns once every version it read is durable. The oracle draws
-start timestamps, installs committed versions in the store and discards
-aborted ones, so reads never consult it. The database only opens the oracle, which builds the
-timestamp source and the store. Every handle operation compares its state
-with module aliases of the `HandleState` members, since fetching a member
-through its enum class costs several times a global.
+A transaction reads from the snapshot fixed by its start timestamp, keeps its
+writes in its own row -> value map, `writes`, and tracks the rows it read. A
+read of a row it wrote returns its own value; any other read goes to the
+store, which holds committed versions only. The handle talks to the status
+oracle itself: commit submits both, the oracle alone decides which of them
+the policy checks and installs the writes on commit, and an abort leaves
+nothing behind. A handle that wrote nothing commits at its start timestamp,
+without the oracle's lock and with no log record: its commit returns once
+every version it read is durable. The database only opens the oracle, which
+builds the timestamp source and the store. Every handle operation compares
+its state with module aliases of the `HandleState` members, since fetching a
+member through its enum class costs several times a global.
 """
 
 from __future__ import annotations
@@ -39,34 +39,35 @@ _ACTIVE, _COMMITTED, _ABORTED = HandleState.ACTIVE, HandleState.COMMITTED, Handl
 class Transaction:
     """Single-owner handle; not for concurrent use from multiple threads."""
 
-    __slots__ = ("_db", "start_ts", "read_set", "write_set", "state", "commit_ts")
+    __slots__ = ("_db", "start_ts", "read_set", "writes", "state", "commit_ts")
 
     def __init__(self, db: "Database", start_ts: int):
         self._db = db
         self.start_ts = start_ts
         self.read_set: set[bytes] = set()
-        self.write_set: set[bytes] = set()
+        self.writes: dict[bytes, bytes] = {}
         self.state = _ACTIVE
         self.commit_ts: int | None = None
 
     def read(self, row: bytes) -> bytes | None:
         if self.state is not _ACTIVE:
             self._check_active()
-        value = self._db.store.snapshot_read(row, self.start_ts)
-        # an absent row is still a dependency the transaction acted on
+        # an absent row, or one it wrote, is still a dependency it acted on
         self.read_set.add(row)
-        return value
+        writes = self.writes
+        if row in writes:
+            return writes[row]
+        return self._db.store.snapshot_read(row, self.start_ts)
 
     def write(self, row: bytes, value: bytes) -> None:
         if self.state is not _ACTIVE:
             self._check_active()
-        self._db.store.put_tentative(row, self.start_ts, value)
-        self.write_set.add(row)
+        self.writes[row] = value  # a rewrite wins
 
     def commit(self) -> CommitDecision:
         if self.state is not _ACTIVE:
             self._check_active()
-        decision = self._db.oracle.submit(self.start_ts, self.write_set, self.read_set)
+        decision = self._db.oracle.submit(self.start_ts, self.writes, self.read_set)
         # on oracle/WAL failure the exception propagates and the handle stays ACTIVE
         if decision.committed:
             self.state = _COMMITTED

@@ -341,7 +341,8 @@ def bench_oracle(
     seed: int = 0,
 ) -> BenchResult:
     """Drive the status oracle, built as a database builds it, directly with
-    synthetic commit requests; each decision installs or purges in its store."""
+    synthetic commit requests; each commit installs its writes in its store,
+    as a database commit does."""
     if clients < 1:
         raise ValueError("clients must be >= 1")
     if requests < 0:
@@ -354,9 +355,10 @@ def bench_oracle(
 
     def worker(idx: int, share: int, ready) -> tuple[int, list[float]]:
         rng = random.Random(seed * 7_654_321 + idx)
+        value = _ROW.pack(idx)  # a write names its client, as run()'s do
         scripts = [
             (
-                frozenset(_ROW.pack(rng.randrange(key_space)) for _ in range(rows_per_txn)),
+                {_ROW.pack(rng.randrange(key_space)): value for _ in range(rows_per_txn)},
                 frozenset(_ROW.pack(rng.randrange(key_space)) for _ in range(rows_per_txn)),
             )
             for _ in range(share)
@@ -365,10 +367,10 @@ def bench_oracle(
         latencies = []
         committed = 0
         ready()
-        for write_set, read_set in scripts:
+        for writes, read_set in scripts:
             start = oracle.start()
             t0 = clock()
-            committed += oracle.submit(start, write_set, read_set).committed
+            committed += oracle.submit(start, writes, read_set).committed
             latencies.append(clock() - t0)
         return committed, latencies
 

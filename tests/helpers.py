@@ -96,7 +96,7 @@ def drive_schedule(schedule, policy: IsolationPolicy, capacity: int | None = Non
         else:
             _, i, ws, rs = ev
             requests[i] = (ws, rs)
-            decisions[i] = oracle.submit(starts[i], ws, rs)
+            decisions[i] = oracle.submit(starts[i], dict.fromkeys(ws, b"v%d" % i), rs)
     return decisions, oracle, starts, requests
 
 

@@ -189,9 +189,10 @@ def _differential_stream(seed: int, policy: IsolationPolicy, capacities):
             continue
         _, i, ws, rs = ev
         start = starts[i]
-        base = unbounded.submit(start, ws, rs)
+        writes = dict.fromkeys(ws, b"v%d" % i)
+        base = unbounded.submit(start, writes, rs)
         for cap, shadow in shadows.items():
-            decision = shadow.submit(start, ws, rs)
+            decision = shadow.submit(start, writes, rs)
             if decision.committed and not base.committed:
                 violations.append(("subset", seed, cap, i))
             elif decision.committed and base.committed:
@@ -235,8 +236,9 @@ def test_c5_bounded_differential(capsys):
                 starts_b[ev[1]] = via_bounded.start()
             else:
                 _, i, ws, rs = ev
-                da = via_policy.submit(starts_a[i], ws, rs)
-                db = via_bounded.submit(starts_b[i], ws, rs)
+                writes = dict.fromkeys(ws, b"v%d" % i)
+                da = via_policy.submit(starts_a[i], writes, rs)
+                db = via_bounded.submit(starts_b[i], writes, rs)
                 same = same and da == db
         identical += same
         if not same:
@@ -280,7 +282,7 @@ def test_c6_crash_recovery_equivalence(tmp_path, capsys):
                     oracle.report_abort(start)  # acknowledged abandonment
                     twin.apply_abort(start)
                 else:
-                    ws = frozenset(rng.sample(rows, rng.randint(0, 3)))
+                    ws = dict.fromkeys(rng.sample(rows, rng.randint(0, 3)), b"v")
                     rs = frozenset(rng.sample(rows, rng.randint(0, 3))) if ws else frozenset()
                     decision = oracle.submit(start, ws, rs)
                     if not ws:  # read-only: commits at its start, with no record
@@ -324,8 +326,8 @@ def test_c6_crash_recovery_equivalence(tmp_path, capsys):
         reopened = StatusOracle(WSI, capacity=16, wal=WriteAheadLog(copy))
         for start in twin.aborted | twin.read_only | twin.commit_records.keys() | set(live):
             for request in (
-                lambda: reopened.submit(start, (rows[0],), (rows[1],)),
-                lambda: reopened.submit(start, ()),
+                lambda: reopened.submit(start, {rows[0]: b"v"}, (rows[1],)),
+                lambda: reopened.submit(start, {}),
                 lambda: reopened.report_abort(start),
             ):
                 try:

@@ -35,8 +35,8 @@ def make_oracle(policy, capacity=None):
 def test_si_disjoint_writers_both_commit():
     oracle, _ = make_oracle(SI)
     assert oracle.start() == 1 and oracle.start() == 2  # two transaction starts
-    d1 = oracle.submit(1, {b"y"})
-    d2 = oracle.submit(2, {b"x"})
+    d1 = oracle.submit(1, {b"y": b"v"})
+    d2 = oracle.submit(2, {b"x": b"v"})
     assert (d1.committed, d1.commit_ts) == (True, 3)
     assert (d2.committed, d2.commit_ts) == (True, 4)
 
@@ -44,9 +44,9 @@ def test_si_disjoint_writers_both_commit():
 def test_si_write_write_conflict_aborts_later_committer():
     oracle, _ = make_oracle(SI)
     oracle.start(), oracle.start()
-    d2 = oracle.submit(2, {b"x"})
+    d2 = oracle.submit(2, {b"x": b"v"})
     assert (d2.committed, d2.commit_ts) == (True, 3)
-    d1 = oracle.submit(1, {b"x"})  # lastCommit(x)=3 > 1
+    d1 = oracle.submit(1, {b"x": b"v"})  # lastCommit(x)=3 > 1
     assert (d1.committed, d1.cause) == (False, "conflict")
     assert d2.cause is None
     assert 1 not in oracle.table.commit_records and oracle._active == {}
@@ -58,17 +58,17 @@ def test_si_empty_write_set_always_commits():
     oracle, _ = make_oracle(SI)
     for _ in range(5):
         oracle.start()
-    oracle.submit(2, {b"x"})
-    decision = oracle.submit(5, set())
+    oracle.submit(2, {b"x": b"v"})
+    decision = oracle.submit(5, {})
     assert decision.committed
 
 
 def test_conflict_abort_leaves_conflict_state_untouched():
     oracle, _ = make_oracle(SI)
     oracle.start(), oracle.start()
-    oracle.submit(2, {b"x"})
+    oracle.submit(2, {b"x": b"v"})
     before = dict(oracle.table.last_commit)
-    oracle.submit(1, {b"x", b"z"})
+    oracle.submit(1, {b"x": b"v", b"z": b"v"})
     assert oracle.table.last_commit == before
 
 
@@ -78,18 +78,18 @@ def test_conflict_abort_leaves_conflict_state_untouched():
 def test_wsi_write_skew_is_rejected():
     oracle, _ = make_oracle(WSI)
     oracle.start(), oracle.start()
-    d1 = oracle.submit(1, {b"x"}, {b"x", b"y"})
+    d1 = oracle.submit(1, {b"x": b"v"}, {b"x", b"y"})
     assert (d1.committed, d1.commit_ts) == (True, 3)
-    d2 = oracle.submit(2, {b"y"}, {b"x", b"y"})  # lastCommit(x)=3 > 2
+    d2 = oracle.submit(2, {b"y": b"v"}, {b"x", b"y"})  # lastCommit(x)=3 > 2
     assert not d2.committed
 
 
 def test_wsi_blind_write_is_allowed():
     oracle, _ = make_oracle(WSI)
     oracle.start(), oracle.start()
-    d1 = oracle.submit(1, {b"x"}, {b"x"})
+    d1 = oracle.submit(1, {b"x": b"v"}, {b"x"})
     assert (d1.committed, d1.commit_ts) == (True, 3)
-    d2 = oracle.submit(2, {b"x"}, set())  # empty read set: no check
+    d2 = oracle.submit(2, {b"x": b"v"}, set())  # empty read set: no check
     assert (d2.committed, d2.commit_ts) == (True, 4)
 
 
@@ -97,9 +97,9 @@ def test_wsi_no_read_write_overlap_commits_despite_concurrency():
     # a concurrent committer touching a row outside the read set is harmless
     oracle, _ = make_oracle(WSI)
     oracle.start(), oracle.start()  # txn_n=1, txn_c=2
-    dc = oracle.submit(2, {b"rprime"}, set())
+    dc = oracle.submit(2, {b"rprime": b"v"}, set())
     assert dc.committed
-    dn = oracle.submit(1, {b"rprime"}, {b"r"})
+    dn = oracle.submit(1, {b"rprime": b"v"}, {b"r"})
     assert dn.committed
 
 
@@ -107,7 +107,7 @@ def test_wsi_read_only_fast_path_commits_with_no_state_change():
     oracle, _ = make_oracle(WSI)
     for _ in range(7):
         oracle.start()
-    decision = oracle.submit(7, set(), set())
+    decision = oracle.submit(7, {}, set())
     assert decision.committed
     assert oracle.table.last_commit == {}
     assert oracle.read_only_commits == 1
@@ -116,9 +116,9 @@ def test_wsi_read_only_fast_path_commits_with_no_state_change():
 def test_wsi_read_only_request_with_an_overwritten_read_row_commits_unchecked():
     oracle, _ = make_oracle(WSI)
     reader, writer = oracle.start(), oracle.start()
-    assert oracle.submit(writer, {b"x"}, set()).committed  # overwrites x after the reader started
+    assert oracle.submit(writer, {b"x": b"v"}, set()).committed  # overwrites x after the reader started
     before = dict(oracle.table.last_commit)
-    decision = oracle.submit(reader, set(), {b"x"})
+    decision = oracle.submit(reader, {}, {b"x"})
     assert decision.committed
     assert oracle.table.last_commit == before
     assert oracle.read_only_commits == 1
@@ -129,7 +129,7 @@ def test_read_only_commit_takes_no_lock_and_draws_no_timestamp():
     start = oracle.start()
     decisions = []
     with oracle._lock:
-        t = threading.Thread(target=lambda: decisions.append(oracle.submit(start, set(), {b"x"})))
+        t = threading.Thread(target=lambda: decisions.append(oracle.submit(start, {}, {b"x"})))
         t.start()
         t.join(timeout=5)
         returned = not t.is_alive()
@@ -141,30 +141,12 @@ def test_read_only_commit_takes_no_lock_and_draws_no_timestamp():
     assert oracle._active == {}
 
 
-def test_generator_sets_are_materialized_before_the_policy_applies():
-    oracle, _ = make_oracle(SI)
-    early, writer, reader = oracle.start(), oracle.start(), oracle.start()
-    assert oracle.submit(writer, iter([b"x"])).committed
-    # a non-empty generator write set is checked under SI
-    assert oracle.submit(early, (row for row in [b"x"])).cause == "conflict"
-    # an empty one is read-only, however truthy the generator itself is
-    assert oracle.submit(reader, (row for row in ())) == CommitDecision(True, reader)
-    assert oracle.read_only_commits == 1
-
-    oracle, _ = make_oracle(WSI)
-    early, writer = oracle.start(), oracle.start()
-    assert oracle.submit(writer, iter([b"x"])).committed
-    # a generator read set is checked under WSI
-    decision = oracle.submit(early, (row for row in [b"y"]), (row for row in [b"x"]))
-    assert decision.cause == "conflict"
-
-
 def test_read_only_never_aborted_even_under_heavy_conflicts():
     oracle, _ = make_oracle(WSI)
     starts = [oracle.start() for _ in range(10)]
-    oracle.submit(starts[-1], {b"x"}, set())
+    oracle.submit(starts[-1], {b"x": b"v"}, set())
     for start in starts[:-1]:
-        assert oracle.submit(start, set(), set()).committed
+        assert oracle.submit(start, {}, set()).committed
 
 
 # -- bounded commit table ----------------------------------------------------------
@@ -201,14 +183,14 @@ def test_bounded_table_sheds_evicted_entries_after_a_large_commit():
 
 def test_bounded_untracked_row_aborts_pessimistically_below_watermark():
     oracle, _ = seeded_bounded_oracle()
-    decision = oracle.submit(3, {b"d"}, {b"c"})  # c untracked, t_max 4 > 3
+    decision = oracle.submit(3, {b"d": b"v"}, {b"c"})  # c untracked, t_max 4 > 3
     assert (decision.committed, decision.cause) == (False, "pessimistic")
     assert oracle.pessimistic_aborts == 1
 
 
 def test_bounded_untracked_row_commits_at_or_above_watermark():
     oracle, _ = seeded_bounded_oracle()
-    decision = oracle.submit(5, {b"d"}, {b"c"})  # t_max 4 <= 5
+    decision = oracle.submit(5, {b"d": b"v"}, {b"c"})  # t_max 4 <= 5
     assert decision.committed
     # the new row displaced the smallest tracked entry and raised the watermark
     assert oracle.table.t_max == 5
@@ -219,20 +201,20 @@ def test_a_conflict_on_any_checked_row_outranks_an_untracked_one():
     # the cause does not depend on the order the checked rows are walked in
     for reads in ([b"c", b"a"], [b"a", b"c"], iter([b"c", b"a"])):
         oracle, _ = seeded_bounded_oracle()  # c untracked below t_max 4, a@5
-        assert oracle.submit(3, {b"z"}, reads).cause == "conflict"
+        assert oracle.submit(3, {b"z": b"v"}, reads).cause == "conflict"
         assert (oracle.conflict_aborts, oracle.pessimistic_aborts) == (1, 0)
     # under SI the sorted write set meets the untracked row 0 before a
     oracle, _ = seeded_bounded_oracle(SI)
-    assert oracle.submit(3, {b"0", b"a"}).cause == "conflict"
-    assert oracle.submit(2, {b"0", b"b"}).cause == "conflict"
-    assert oracle.submit(1, {b"0"}).cause == "pessimistic"
+    assert oracle.submit(3, {b"0": b"v", b"a": b"v"}).cause == "conflict"
+    assert oracle.submit(2, {b"0": b"v", b"b": b"v"}).cause == "conflict"
+    assert oracle.submit(1, {b"0": b"v"}).cause == "pessimistic"
 
 
 def test_bounded_tracked_row_uses_exact_value():
     oracle, _ = seeded_bounded_oracle()
-    d1 = oracle.submit(4, {b"z"}, {b"a"})  # tracked a@5 > 4
+    d1 = oracle.submit(4, {b"z": b"v"}, {b"a"})  # tracked a@5 > 4
     assert (d1.committed, d1.cause) == (False, "conflict")
-    d2 = oracle.submit(6, {b"z"}, {b"a"})  # tracked a@5 <= 6
+    d2 = oracle.submit(6, {b"z": b"v"}, {b"a"})  # tracked a@5 <= 6
     assert d2.committed
 
 
@@ -251,7 +233,7 @@ def test_bounded_table_evicts_bulk_and_repeated_rows_like_the_model():
 def test_bounded_read_only_fast_path_skips_watermark():
     oracle, _ = seeded_bounded_oracle()
     # start 1 is far below t_max, but an empty write set never aborts
-    decision = oracle.submit(1, set(), set())
+    decision = oracle.submit(1, {}, set())
     assert decision.committed
 
 
@@ -261,26 +243,26 @@ def test_bounded_read_only_fast_path_skips_watermark():
 def test_duplicate_commit_request_is_rejected():
     oracle, _ = make_oracle(WSI)
     oracle.start()
-    oracle.submit(1, {b"x"}, set())
+    oracle.submit(1, {b"x": b"v"}, set())
     with pytest.raises(DuplicateRequestError):
-        oracle.submit(1, {b"x"}, set())
+        oracle.submit(1, {b"x": b"v"}, set())
 
 
 def test_commit_request_after_conflict_abort_is_rejected():
     oracle, _ = make_oracle(SI)
     oracle.start(), oracle.start()
-    oracle.submit(2, {b"x"})
-    assert not oracle.submit(1, {b"x"}).committed
+    oracle.submit(2, {b"x": b"v"})
+    assert not oracle.submit(1, {b"x": b"v"}).committed
     with pytest.raises(DuplicateRequestError):
-        oracle.submit(1, set())
+        oracle.submit(1, {})
 
 
 def test_read_only_commit_request_after_a_read_only_commit_is_rejected():
     oracle, ts = make_oracle(WSI)
     start, live = oracle.start(), oracle.start()
-    assert oracle.submit(start, (), {b"x"}).committed
+    assert oracle.submit(start, {}, {b"x"}).committed
     with pytest.raises(DuplicateRequestError):
-        oracle.submit(start, ())
+        oracle.submit(start, {})
     assert oracle.table.commit_records == {}
     assert oracle._active.keys() == {live}
     assert oracle.read_only_commits == 1
@@ -308,12 +290,12 @@ class RefusingLog:
 def test_read_only_commit_appends_nothing_to_a_log_that_refuses_decisions():
     oracle = StatusOracle(WSI, wal=RefusingLog())
     reader, writer = oracle.start(), oracle.start()
-    assert oracle.submit(reader, (), {b"x"}) == CommitDecision(True, reader)
+    assert oracle.submit(reader, {}, {b"x"}) == CommitDecision(True, reader)
     assert oracle.table.commit_records == {}
     assert oracle._active.keys() == {writer}
     assert oracle.committed_count == oracle.read_only_commits == 1
     with pytest.raises(OSError):
-        oracle.submit(writer, {b"x"})  # a writing commit's record is refused
+        oracle.submit(writer, {b"x": b"v"})  # a writing commit's record is refused
     assert oracle.table.commit_records == {}
     assert oracle._active.keys() == {writer}
     assert oracle.committed_count == 1
@@ -322,9 +304,9 @@ def test_read_only_commit_appends_nothing_to_a_log_that_refuses_decisions():
 def test_every_decision_is_an_ordinary_commit_decision():
     oracle, ts = make_oracle(SI)
     reader, loser, winner = oracle.start(), oracle.start(), oracle.start()
-    read_only = oracle.submit(reader, (), {b"x"})
-    writing = oracle.submit(winner, {b"x", b"y"})
-    aborted = oracle.submit(loser, {b"x"})
+    read_only = oracle.submit(reader, {}, {b"x"})
+    writing = oracle.submit(winner, {b"x": b"v", b"y": b"v"})
+    aborted = oracle.submit(loser, {b"x": b"v"})
     expected = [
         (read_only, CommitDecision(True, reader), f"committed({reader})"),
         (writing, CommitDecision(True, ts.last_issued()), f"committed({ts.last_issued()})"),
@@ -342,10 +324,9 @@ def test_every_decision_is_an_ordinary_commit_decision():
 def test_report_abort_admits_only_a_live_start():
     oracle, ts = make_oracle(WSI)
     committed, abandoned, live = oracle.start(), oracle.start(), oracle.start()
-    oracle.store.put_tentative(b"y", abandoned, b"gone")
     oracle.report_abort(abandoned)
-    assert oracle._active.keys() == {committed, live} and oracle.store._tentative == {}
-    assert oracle.submit(committed, {b"x"}, set()).committed
+    assert oracle._active.keys() == {committed, live}
+    assert oracle.submit(committed, {b"x": b"v"}, set()).committed
     records = dict(oracle.table.commit_records)
     for start in (abandoned, committed, ts.last_issued() + 5):
         with pytest.raises(DuplicateRequestError, match=f"transaction {start} is not live"):
@@ -358,10 +339,9 @@ def test_a_start_never_issued_is_refused_and_installs_nothing():
         oracle, ts = make_oracle(policy)
         oracle.start()
         unissued = ts.last_issued() + 5
-        oracle.store.put_tentative(b"x", unissued, b"forged")
         for request in (
-            lambda: oracle.submit(unissued, {b"x"}, {b"x"}),
-            lambda: oracle.submit(unissued, (), {b"x"}),
+            lambda: oracle.submit(unissued, {b"x": b"forged"}, {b"x"}),
+            lambda: oracle.submit(unissued, {}, {b"x"}),
             lambda: oracle.report_abort(unissued),
         ):
             with pytest.raises(DuplicateRequestError, match=f"transaction {unissued} is not live"):
@@ -377,8 +357,7 @@ def test_gc_compacts_below_the_oldest_live_start():
 
     def commit_x(value):
         start = oracle.start()
-        store.put_tentative(b"x", start, value)
-        assert oracle.submit(start, {b"x"}).committed
+        assert oracle.submit(start, {b"x": value}).committed
 
     def kept_after_gc():
         oracle.gc()
@@ -397,14 +376,13 @@ def test_gc_compacts_below_the_oldest_live_start():
     fourth = oracle.start()
     commit_x(b"g")
     assert kept_after_gc() == [b"c", b"d", b"e", b"f", b"g"]  # first reads c
-    assert oracle.submit(second, {b"y"}).committed
+    assert oracle.submit(second, {b"y": b"v"}).committed
     assert kept_after_gc() == [b"c", b"d", b"e", b"f", b"g"]  # a later decision leaves the oldest live
-    store.put_tentative(b"x", first, b"lost")
-    assert oracle.submit(first, {b"x"}).cause == "conflict"
+    assert oracle.submit(first, {b"x": b"lost"}).cause == "conflict"
     assert kept_after_gc() == [b"e", b"f", b"g"]  # third reads e
     oracle.report_abort(third)
     assert kept_after_gc() == [b"f", b"g"]  # fourth reads f
-    assert oracle.submit(fourth, set()).committed
+    assert oracle.submit(fourth, {}).committed
     assert kept_after_gc() == [b"f", b"g"]  # none live, but two versions are kept whole
     commit_x(b"h")
     assert kept_after_gc() == [b"h"]
@@ -421,9 +399,7 @@ def test_gc_bounds_the_versions_of_a_hot_set_that_moves_on_and_goes_cold():
 
     def commit(rows, value):
         start = oracle.start()
-        for row in rows:
-            store.put_tentative(row, start, value)
-        assert oracle.submit(start, rows).committed
+        assert oracle.submit(start, dict.fromkeys(rows, value)).committed
 
     def gc_within_bound(watermark):
         oracle.gc()
@@ -451,7 +427,7 @@ def test_gc_bounds_the_versions_of_a_hot_set_that_moves_on_and_goes_cold():
         assert {row: store.snapshot_read(row, reader) for row in seen} == seen
         for row, vs in versions.items():  # one version below the watermark, or at most two
             assert len(vs) <= 2 or sum(v.commit_ts < reader for v in vs) <= 1
-    assert oracle.submit(reader, set()).committed
+    assert oracle.submit(reader, {}).committed
     for k in range(16, 24):
         interval(k)
         versions = gc_within_bound(oracle.timestamps.last_issued() + 1)
@@ -535,16 +511,16 @@ def test_closed_loop_bounded_oracle_can_diverge_beyond_subsets():
     filler1 = begin()
     filler2 = begin()
     for oracle in (unbounded, bounded):
-        assert oracle.submit(filler1, {b"f1"}, set()).committed
-        assert oracle.submit(filler2, {b"f2"}, set()).committed  # evicts f1
+        assert oracle.submit(filler1, {b"f1": b"v"}, set()).committed
+        assert oracle.submit(filler2, {b"f2": b"v"}, set()).committed  # evicts f1
     assert bounded.table.t_max > 0
     straddler = begin()  # starts before the victim's commit
-    assert unbounded.submit(victim, {b"q"}, set()).committed
-    assert bounded.submit(victim, {b"q"}, set()).cause == "pessimistic"
+    assert unbounded.submit(victim, {b"q": b"v"}, set()).committed
+    assert bounded.submit(victim, {b"q": b"v"}, set()).cause == "pessimistic"
     bounded.timestamps.next()  # realign clocks after the divergent draw
     # unbounded rejects the straddler on q; the bounded table forgot q entirely
-    assert not unbounded.submit(straddler, {b"q"}, set()).committed
-    assert bounded.submit(straddler, {b"q"}, set()).committed
+    assert not unbounded.submit(straddler, {b"q": b"v"}, set()).committed
+    assert bounded.submit(straddler, {b"q": b"v"}, set()).committed
 
 
 @settings(max_examples=40, deadline=None)

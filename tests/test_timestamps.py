@@ -95,7 +95,7 @@ def test_block_size_one_persists_each_timestamp(tmp_path):
         assert wal.flush_count == (i + 1) // 2
     # a commit timestamp waits for no reservation of its own: its record
     # follows the reservation, and the commit waits for the record
-    decision = oracle.submit(5, {b"x"})
+    decision = oracle.submit(5, {b"x": b"v"})
     assert decision.commit_ts == 6
     assert reservations(wal.path) == list(range(1, 8))
     wal.close()

@@ -27,7 +27,7 @@ def test_begin_yields_increasing_starts_and_empty_sets():
     db = Database(WSI)
     a, b = db.begin(), db.begin()
     assert a.start_ts < b.start_ts
-    assert a.read_set == set() and a.write_set == set()
+    assert a.read_set == set() and a.writes == {}
     assert a.state is HandleState.ACTIVE
 
 
@@ -81,7 +81,7 @@ def test_read_your_own_write_updates_both_sets():
     h = db.begin()
     h.write(b"x", b"v")
     assert h.read(b"x") == b"v"
-    assert b"x" in h.read_set and b"x" in h.write_set
+    assert b"x" in h.read_set and h.writes == {b"x": b"v"}
 
 
 def test_repeated_reads_are_stable_despite_concurrent_commit():
@@ -101,7 +101,7 @@ def test_blind_write_leaves_read_set_empty():
     h.write(b"x", b"v")
     h.write(b"x", b"v2")
     assert h.read_set == set()
-    assert h.write_set == {b"x"}
+    assert h.writes == {b"x": b"v2"}
 
 
 def test_uncommitted_and_newer_writes_are_invisible_to_others():
@@ -319,6 +319,41 @@ def test_opening_a_database_on_a_log_recovers_it(tmp_path):
     recovered.close()
 
 
+def _reaches(root, target) -> bool:
+    """Whether `target` itself is reachable from `root` through containers and
+    instance attributes."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.append(vars(obj))
+    return False
+
+
+def test_a_dropped_handle_pins_no_values():
+    db = Database(WSI)
+    db.seed_committed(b"x", b"v0")
+    value = bytes(bytearray(b"written, then dropped"))  # a fresh object
+    refs = sys.getrefcount(value)
+    h = db.begin()
+    h.read(b"x")
+    h.write(b"y", value)
+    del h  # neither committed nor aborted; its start still pins gc() (ROADMAP item 13)
+    assert sys.getrefcount(value) == refs
+    assert not _reaches(db.store, value) and not _reaches(db.oracle, value)
+    assert db.store.rows() == [b"x"]
+
+
 @pytest.mark.parametrize("durable", [False, True])
 def test_close_decides_every_live_transaction(tmp_path, durable):
     path = tmp_path / "db.wal"
@@ -327,11 +362,11 @@ def test_close_decides_every_live_transaction(tmp_path, durable):
     writer.write(b"x", b"v")
     reader.read(b"x")
     db.close()
-    assert db.oracle._active == {} and db.store._tentative == {}
+    assert db.oracle._active == {}
     for decide in (writer.commit, reader.commit, writer.abort):
         with pytest.raises(DuplicateRequestError, match="is not live"):
             decide()
-        assert db.oracle._active == {} and db.store._tentative == {}
+        assert db.oracle._active == {}
     assert db.oracle.table.commit_records == {} and db.store.rows() == []
     if durable:
         assert {rec.kind for rec in read_records(path)} == {KIND_TS_RESERVE}

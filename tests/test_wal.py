@@ -290,7 +290,7 @@ def test_recovery_matches_live_oracle_state(tmp_path):
     rows = [bytes([65 + i]) for i in range(8)]
     for _ in range(120):
         start = oracle.start()
-        ws = frozenset(rng.sample(rows, rng.randint(0, 3)))
+        ws = dict.fromkeys(rng.sample(rows, rng.randint(0, 3)), b"v")
         rs = frozenset(rng.sample(rows, rng.randint(0, 3)))
         oracle.submit(start, ws, rs)
     wal.close()
@@ -309,7 +309,7 @@ def test_an_oracle_opened_on_a_crashed_log_is_what_recover_reads(tmp_path):
     abandoned = []
     for _ in range(60):
         start = live.start()
-        live.submit(start, frozenset(rng.sample(rows, rng.randint(0, 3))), ())
+        live.submit(start, dict.fromkeys(rng.sample(rows, rng.randint(0, 3)), b"v"), ())
         if rng.random() < 0.2:
             abandoned.append(live.start())
             live.report_abort(abandoned[-1])
@@ -759,6 +759,24 @@ def test_read_only_commit_waits_for_the_commits_in_its_snapshot(tmp_path, monkey
         db.close()
 
 
+def test_a_writing_commit_whose_wait_raises_is_not_counted(tmp_path, monkeypatch):
+    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
+    writer = db.begin()
+    writer.write(b"x", b"1")
+    sync = _BlockingSync(monkeypatch, fail=True)
+    outcome = []
+    committer = threading.Thread(target=_outcome, args=(writer.commit, outcome))
+    committer.start()
+    assert sync.entered.wait(2.0)  # appended and installed; its flush blocks
+    sync.release.set()  # then fails
+    _join(committer)
+    assert outcome == [db.wal.error] and isinstance(outcome[0], WalError)
+    assert writer.state is HandleState.ACTIVE
+    assert db.oracle.committed_count == db.oracle.read_only_commits == 0
+    with pytest.raises(WalError):
+        db.close()
+
+
 def _outcome(call, into):
     try:
         into.append(call())
@@ -1101,7 +1119,7 @@ def test_failed_log_stops_the_engine_without_changing_the_table(tmp_path, monkey
         later.commit,
         rival.commit,
         abandoned.abort,
-        lambda: db.oracle.submit(abandoned.start_ts, {b"z"}),
+        lambda: db.oracle.submit(abandoned.start_ts, {b"z": b"v"}),
         lambda: db.oracle.report_abort(later.start_ts),
         lambda: db.wal.append(WalRecord(KIND_ABORT, 99)),
     ):
