@@ -8,15 +8,19 @@ write-only transactions. Each operation is then timed with `timeit`, one
 thread, and the best of `--repeat` timings is printed:
 
 - `begin`: `db.begin()`;
+- `durable_begin`: `begin()` on the durable database below, so one begin in
+  each block of 1 000 appends the block's reservation and waits for its
+  flush;
 - `read`: `h.read(row)` on one handle and one loaded row;
 - `read_in_writer`: the same read on a handle that first wrote the five rows
   `write5_commit` writes, so the read looks past the handle's own writes
   (the read row is not one of them once `--rows` is 10 or more);
 - `write`: `h.write(row, value)` on one handle and one row;
 - `read_only_commit`: `commit()` of a handle that read one row;
-- `durable_read_only_commit`: the same on a second database, whose write-ahead
-  log is in a temporary directory and which holds that one row; with nothing
-  in the snapshot left to flush, it appends nothing and waits for nothing;
+- `durable_read_only_commit`: the same on the durable database, a second one,
+  whose write-ahead log is in a temporary directory and which holds that one
+  row; with no commit record in flight, it appends nothing and waits for
+  nothing;
 - `write5_commit`: `commit()` of a handle that wrote five rows, none read.
 
 Commits are timed as a loop over `--number` handles made before the timer
@@ -94,6 +98,7 @@ def main() -> int:
                  "read_only_handles": read_only_handles, "writing_handles": writing_handles}
         costs = {
             "begin": best_ns("db.begin()", "", names, n, repeat, 1),
+            "durable_begin": best_ns("durable.begin()", "", names, n, repeat, 1),
             "read": best_ns("h.read(row)", "h = db.begin()", names, n, repeat, 1),
             "read_in_writer": best_ns(
                 "h.read(row)", "h = db.begin()\nfor r in write_rows: h.write(r, value)", names, n, repeat, 1

@@ -35,9 +35,9 @@ def _capacity(text: str) -> int | None:
 
 def _policy(text: str) -> IsolationPolicy:
     try:
-        return IsolationPolicy.from_string(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+        return IsolationPolicy(text.lower())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"unknown isolation policy {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

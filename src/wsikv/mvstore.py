@@ -27,10 +27,11 @@ reader's start otherwise. That is safe because:
     never shifts or loses an element, every version the reader can see was
     installed before it fetched the list, and a version appended while it
     bisects lands above its start;
-(c) a single `dict.get`, dict store or pop, `dict.copy`, list append or
-    `list[-1]`, and `min` over the int keys of a dict is atomic in CPython.
-    The oracle's live set relies on the pop and the `min`: `gc()` reads it
-    while read-only commits pop from it without a lock.
+(c) a single `dict.get`, dict store, `dict.copy`, list append or
+    `list[-1]`, and a set add, remove, membership test or `min` over a set
+    of ints is atomic in CPython. The oracle's live set relies on the remove
+    and the `min`: `gc()` reads it while read-only commits remove from it
+    without a lock.
 
 Garbage collection walks only the rows holding three or more versions, which
 `install` lists in `_long` as each reaches three. `compact(low_watermark)`

@@ -38,18 +38,17 @@ nothing: it returns once every version it read is durable, and then leaves
 the live set in one atomic operation (see the store's list (c)). It waits
 only on the dependencies it took, as in the commit-dependency tracking of
 early lock release (Johnson et al., "Aether", VLDB 2010) and controlled lock
-violation (Graefe et al., SIGMOD 2013). start() records beside each live
-start the log's last appended sequence number; every writing commit is
-appended inside the lock, so every commit the snapshot sees lies at or below
-that number. When a record up to it is not yet durable, the store names the
-newest commit among the versions the reader saw, and the commit waits only if
-that commit is above the log's `durable_ts`: a reader that saw no version not
-yet durable read exactly what recovery holds at its start, so its place in
-the serial order survives a crash. The start stays live until the wait is
-over, so gc() keeps every version it saw, and a wait that raises leaves it
-live. No log flush is waited for while the lock is held: a commit or a start
-only appends to the log inside it and waits for durability after releasing
-it.
+violation (Graefe et al., SIGMOD 2013). Its pre-filter is the log's own
+marks: writing commits are appended inside the lock in commit-timestamp
+order, so while no commit record is in flight every commit the snapshot sees
+is durable. Otherwise the store names the newest commit among the versions
+the reader saw, and the commit waits only if that commit is above the log's
+`durable_ts`: a reader that saw no version not yet durable read exactly what
+recovery holds at its start, so its place in the serial order survives a
+crash. The start stays live until the wait is over, so gc() keeps every
+version it saw, and a wait that raises leaves it live. No log flush is
+waited for while the lock is held: a commit or a start only appends to the
+log inside it and waits for durability after releasing it.
 """
 
 from __future__ import annotations
@@ -78,13 +77,6 @@ class DuplicateRequestError(OracleError):
 class IsolationPolicy(enum.Enum):
     SI = "si"
     WSI = "wsi"
-
-    @classmethod
-    def from_string(cls, s: str) -> "IsolationPolicy":
-        try:
-            return cls(s.lower())
-        except ValueError:
-            raise ValueError(f"unknown isolation policy {s!r}") from None
 
 
 class CommitDecision(NamedTuple):
@@ -180,7 +172,8 @@ class StatusOracle:
     start timestamps and registers them as live, and gc() cuts the store's
     rows holding three or more versions, inside the same lock. A request
     that writes nothing commits outside it, at its start timestamp, logs and
-    stores nothing, and returns once every version it read is durable. A
+    stores nothing, and returns once every version it read is durable; it
+    looks at what it read only while the log has a commit record in flight. A
     writing commit is appended to the write-ahead log before it changes any
     state, so a record that cannot be logged leaves the oracle as it was;
     appending only buffers, and the caller waits for durability after the
@@ -212,9 +205,7 @@ class StatusOracle:
         self.policy = policy
         self.wal = wal
         self._lock = threading.Lock()
-        # live starts, the only ones a decision admits, each mapped to the
-        # log's last appended sequence number when it started (0 without a log)
-        self._active: dict[int, int] = {}
+        self._active: set[int] = set()  # live starts, the only ones a decision admits
         self._started = 0
         self._aborts = 0
         self._writing_commits = 0
@@ -233,19 +224,15 @@ class StatusOracle:
         """Draw a start timestamp and register it as live; no commit is half
         installed at that moment. Return it once its block's reservation is
         durable, waited for after the lock is released and only while it is
-        not. Once the log has
-        failed, raise its error: no reader may see a commit whose record may
-        not be durable. Once it is closed, raise WalClosedError wherever
-        issuance is in its block; either way nothing is drawn."""
+        not. Once the log has failed, raise its error: no reader may see a
+        commit whose record may not be durable. Once it is closed, raise
+        WalClosedError; either way nothing is drawn."""
         with self._lock:
             wal = self.wal
-            appended = 0
-            if wal is not None:
-                if wal.error is not None or wal.closed:
-                    raise wal.error or WalClosedError("begin on a closed log")
-                appended = wal.appended  # every commit this snapshot sees is at or below it
+            if wal is not None and (wal.error is not None or wal.closed):
+                raise wal.error or WalClosedError("begin on a closed log")
             ts = self.timestamps.next()
-            self._active[ts] = appended
+            self._active.add(ts)
             self._started += 1
             reserved = self.timestamps.block_ack
         if reserved is not None and reserved.seq > wal.durable:
@@ -277,27 +264,32 @@ class StatusOracle:
         not depend on the order of the walk: it is "conflict" when any checked
         row's last commit is above the start, else "pessimistic" when some
         checked row is untracked while t_max is above the start. A read-only
-        request checks, waits and then leaves the live set in one atomic pop,
-        so two requests for one start cannot both commit; once the log has
+        request on a log checks, waits and then leaves: it walks its read set
+        only while a commit record is in flight (`appended_ts` above
+        `durable_ts`), waits for the log only when a version it read is above
+        `durable_ts`, and then leaves the live set in one atomic remove, so
+        two requests for one start cannot both commit. Once the log has
         failed, or when its wait raises, it raises the log's error and its
         start stays live. A request for a start that is not live raises a
-        failed log's error before DuplicateRequestError. The policy is
-        compared with the module alias `_WSI`, since fetching a member through
-        its enum class costs several times a global."""
+        failed log's error before DuplicateRequestError and changes nothing,
+        even if it walked first; so does a `writes` that is not a map. The
+        policy is compared with the module alias `_WSI`, since fetching a
+        member through its enum class costs several times a global."""
         if not writes:
             wal = self.wal
             if wal is not None:
                 if wal.error is not None:
                     raise wal.error  # fail-stop: the start stays live
-                # 0 for a start that is not live: the pop below refuses it
-                appended = self._active.get(start_ts, 0)
-                # the walk runs while the start is live, so gc() keeps what it reads
-                if appended > wal.durable and self.store.newest_read(read_set, start_ts) > wal.durable_ts:
-                    DurableAck(wal, appended).wait()  # a version read is not yet durable
-            if self._active.pop(start_ts, None) is None:
-                raise self._not_live(start_ts)
+                # walked before the start leaves the live set, so gc() keeps what it reads
+                durable_ts = wal.durable_ts
+                if wal.appended_ts > durable_ts and self.store.newest_read(read_set, start_ts) > durable_ts:
+                    DurableAck(wal, wal.appended).wait()  # a version read is not yet durable
+            try:
+                self._active.remove(start_ts)
+            except KeyError:
+                raise self._not_live(start_ts) from None
             return _new_tuple(CommitDecision, (True, start_ts, None))
-        rows = tuple(sorted(writes))
+        rows = tuple(sorted(writes.keys()))  # a request that is not a map changes nothing
         table = self.table
         checked = read_set if self.policy is _WSI else rows
         ack = None
@@ -374,12 +366,12 @@ class StatusOracle:
             ack = self.wal.append(WalRecord(KIND_COMMIT, start_ts, tc, rows))
         self.table.apply_commit(start_ts, tc, rows)
         self.store.install(writes, tc)
-        self._active.pop(start_ts, None)
+        self._active.discard(start_ts)
         self._writing_commits += 1
         return tc, ack
 
     def _abort_locked(self, start_ts: int) -> None:
         if self.wal is not None and self.wal.error is not None:
             raise self.wal.error  # fail-stop: no append raises it for an abort
-        self._active.pop(start_ts, None)
+        self._active.discard(start_ts)
         self._aborts += 1

@@ -32,17 +32,16 @@ A new log is created atomically (see _create). An empty file, or one holding
 a strict prefix of the magic, is a log whose creation never finished and opens
 as a new log; a log of another format version is refused.
 
-The engine logs writing commits and timestamp reservations only. A read-only
-commit returns once every version it read is durable: it reads `durable_ts`,
-the commit timestamp of the last durable commit record, and waits through
-`appended` and `durable` (the sequence numbers of the last appended and last
-durable record) only when a version it read is above `durable_ts`. The
-status oracle appends commit records in commit-timestamp order, so every
-commit at or below `durable_ts` is durable. A log has one owner: opening it
-takes an exclusive `flock` on the sibling file `<path>.lock` until close(),
-so a second opener, in this process or another, is refused. The lock is on a
-file of its own because `_create` renames a new inode over the log's path.
-read_records() takes no lock.
+The engine logs writing commits and timestamp reservations only. `appended`
+and `durable` are the sequence numbers of the last appended and last durable
+record; `appended_ts` and `durable_ts` the commit timestamps of the last
+appended and last durable commit record. The status oracle appends commit
+records in commit-timestamp order, so every commit at or below `durable_ts`
+is durable, and one is in flight only while `appended_ts` is above it. A log
+has one owner: opening it takes an exclusive `flock` on the sibling file
+`<path>.lock` until close(), so a second opener, in this process or another,
+is refused. The lock is on a file of its own because `_create` renames a new
+inode over the log's path. read_records() takes no lock.
 """
 
 from __future__ import annotations
@@ -314,12 +313,12 @@ class WriteAheadLog:
         self.path = str(path)
         self.flush_count = 0
         self.error: WalError | None = None
-        self._lock = threading.Lock()  # guards the buffer, appended, _appended_ts and closed
+        self._lock = threading.Lock()  # guards the buffer, appended, appended_ts and closed
         self._flush_lock = threading.Lock()  # held by the waiter that writes and syncs
         self._buf: list[bytes] = []
         self.appended = 0  # sequence number of the last appended record
         self.durable = 0  # sequence number of the last durable record
-        self._appended_ts = 0  # commit timestamp of the last appended commit record
+        self.appended_ts = 0  # commit timestamp of the last appended commit record
         # commit timestamp of the last commit record this log made durable; 0
         # before the first, which at worst makes a read-only commit wait
         self.durable_ts = 0
@@ -354,7 +353,7 @@ class WriteAheadLog:
                 raise WalClosedError("append to closed log")
             self._buf.append(frame)
             if rec.kind == KIND_COMMIT:
-                self._appended_ts = rec.commit_ts
+                self.appended_ts = rec.commit_ts
             self.appended += 1
             return DurableAck(self, self.appended)
 
@@ -392,7 +391,7 @@ class WriteAheadLog:
         go on during the write and the sync."""
         with self._lock:
             records, self._buf = self._buf, []
-            last, last_ts = self.appended, self._appended_ts
+            last, last_ts = self.appended, self.appended_ts
         body = b"".join(records)
         # the header's last field is the checksum of the bytes before it
         head = _HEADER.pack(self._end, len(body), zlib.crc32(body), 0)[:_HEAD_CRC_AT]

@@ -160,10 +160,9 @@ def make_distribution(spec: WorkloadSpec):
     return ZipfianLatestKeys(spec.key_space, ZIPF_CONSTANT)
 
 
-def generate_txn(spec: WorkloadSpec, rng: random.Random, dist=None) -> list[tuple[str, bytes]]:
-    """One transaction script: ("r"|"w", row-id bytes) pairs in execution order."""
-    if dist is None:
-        dist = make_distribution(spec)
+def generate_txn(spec: WorkloadSpec, rng: random.Random, dist) -> list[tuple[str, bytes]]:
+    """One transaction script: ("r"|"w", row-id bytes) pairs in execution
+    order, with rows drawn from `dist`, the spec's `make_distribution`."""
     n = rng.randint(0, OPS_PER_TXN_MAX)
     read_only = spec.mix == "mixed" and rng.random() < 0.5
     ops = []

@@ -80,6 +80,13 @@ def test_unknown_flag_exits_with_usage_error():
     assert err.value.code == 2
 
 
+def test_unknown_policy_exits_with_usage_error_naming_it(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--policy", "x"])
+    assert err.value.code == 2
+    assert "unknown isolation policy 'x'" in capsys.readouterr().err
+
+
 def test_missing_verb_exits_with_usage_error():
     with pytest.raises(SystemExit) as err:
         main([])

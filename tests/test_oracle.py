@@ -18,8 +18,9 @@ from wsikv.oracle import (
     DuplicateRequestError,
     IsolationPolicy,
     StatusOracle,
+    recover,
 )
-from wsikv.wal import KIND_TS_RESERVE
+from wsikv.wal import KIND_TS_RESERVE, WriteAheadLog, read_records
 
 SI, WSI = IsolationPolicy.SI, IsolationPolicy.WSI
 
@@ -49,7 +50,7 @@ def test_si_write_write_conflict_aborts_later_committer():
     d1 = oracle.submit(1, {b"x": b"v"})  # lastCommit(x)=3 > 1
     assert (d1.committed, d1.cause) == (False, "conflict")
     assert d2.cause is None
-    assert 1 not in oracle.table.commit_records and oracle._active == {}
+    assert 1 not in oracle.table.commit_records and oracle._active == set()
     with pytest.raises(DuplicateRequestError, match="transaction 1 is not live"):
         oracle.report_abort(1)
 
@@ -138,7 +139,7 @@ def test_read_only_commit_takes_no_lock_and_draws_no_timestamp():
     assert decisions == [CommitDecision(True, start)]
     assert ts.last_issued() == start
     assert oracle.table.commit_records == {}
-    assert oracle._active == {}
+    assert oracle._active == set()
 
 
 def test_read_only_never_aborted_even_under_heavy_conflicts():
@@ -264,7 +265,7 @@ def test_read_only_commit_request_after_a_read_only_commit_is_rejected():
     with pytest.raises(DuplicateRequestError):
         oracle.submit(start, {})
     assert oracle.table.commit_records == {}
-    assert oracle._active.keys() == {live}
+    assert oracle._active == {live}
     assert oracle.read_only_commits == 1
 
 
@@ -275,7 +276,7 @@ class RefusingLog:
     error = None  # read by start(); a stopped log's own error is not needed here
     closed = False
     recovered = []  # a new log: nothing to replay
-    appended = durable = 0  # no record is ever pending
+    durable = appended_ts = durable_ts = 0  # no record is ever pending
     seq = 0  # as its own ack: durable already
 
     def append(self, record):
@@ -292,12 +293,12 @@ def test_read_only_commit_appends_nothing_to_a_log_that_refuses_decisions():
     reader, writer = oracle.start(), oracle.start()
     assert oracle.submit(reader, {}, {b"x"}) == CommitDecision(True, reader)
     assert oracle.table.commit_records == {}
-    assert oracle._active.keys() == {writer}
+    assert oracle._active == {writer}
     assert oracle.committed_count == oracle.read_only_commits == 1
     with pytest.raises(OSError):
         oracle.submit(writer, {b"x": b"v"})  # a writing commit's record is refused
     assert oracle.table.commit_records == {}
-    assert oracle._active.keys() == {writer}
+    assert oracle._active == {writer}
     assert oracle.committed_count == 1
 
 
@@ -325,13 +326,13 @@ def test_report_abort_admits_only_a_live_start():
     oracle, ts = make_oracle(WSI)
     committed, abandoned, live = oracle.start(), oracle.start(), oracle.start()
     oracle.report_abort(abandoned)
-    assert oracle._active.keys() == {committed, live}
+    assert oracle._active == {committed, live}
     assert oracle.submit(committed, {b"x": b"v"}, set()).committed
     records = dict(oracle.table.commit_records)
     for start in (abandoned, committed, ts.last_issued() + 5):
         with pytest.raises(DuplicateRequestError, match=f"transaction {start} is not live"):
             oracle.report_abort(start)
-    assert oracle._active.keys() == {live} and oracle.table.commit_records == records
+    assert oracle._active == {live} and oracle.table.commit_records == records
 
 
 def test_a_start_never_issued_is_refused_and_installs_nothing():
@@ -347,8 +348,25 @@ def test_a_start_never_issued_is_refused_and_installs_nothing():
             with pytest.raises(DuplicateRequestError, match=f"transaction {unissued} is not live"):
                 request()
             assert oracle.table.last_commit == {} and oracle.table.commit_records == {}
-            assert oracle.store.rows() == [] and oracle._active.keys() == {1}
+            assert oracle.store.rows() == [] and oracle._active == {1}
         assert ts.last_issued() == 1
+
+
+@pytest.mark.parametrize("durable", [False, True])
+def test_a_request_whose_writes_are_not_a_map_changes_nothing(tmp_path, durable):
+    path = tmp_path / "x.wal"
+    oracle = StatusOracle(WSI, wal=WriteAheadLog(path) if durable else None)
+    start = oracle.start()
+    with pytest.raises(AttributeError):
+        oracle.submit(start, {b"x"})  # a set of rows, with no values
+    assert oracle.table.commit_records == {} and oracle.table.last_commit == {}
+    assert oracle.store.rows() == [] and oracle._active == {start}
+    assert oracle.timestamps.last_issued() == start
+    oracle.report_abort(start)
+    if durable:
+        oracle.wal.close()
+        assert [rec.kind for rec in read_records(path)] == [KIND_TS_RESERVE]
+        assert recover(path)[0].commit_records == {}
 
 
 def test_gc_compacts_below_the_oldest_live_start():

@@ -52,6 +52,7 @@ def test_op_costs_prints_the_cost_of_each_operation():
     rows = [row.split(",") for row in out[1:]]
     assert [op for op, _ in rows] == [
         "begin",
+        "durable_begin",
         "read",
         "read_in_writer",
         "write",

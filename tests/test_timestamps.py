@@ -46,11 +46,12 @@ def test_concurrent_next_values_are_unique(tmp_path):
 def test_next_never_waits_on_the_log(tmp_path):
     wal = WriteAheadLog(tmp_path / "ts.wal")
     ts = TimestampOracle(wal, block_size=1000)
+    assert wal.appended == 0  # creating it appends nothing
     assert [ts.next() for _ in range(2500)][-1] == 2500
     assert ts.reserved_up_to == 3000
     assert wal.flush_count == 0 and reservations(wal.path) == []  # all still buffered
     wal.close()
-    assert reservations(wal.path) == [1000, 2000, 3000, 4000]
+    assert reservations(wal.path) == [1000, 2000, 3000]  # one per block entered
 
 
 def test_block_serves_next_without_new_persistence(tmp_path, monkeypatch):
@@ -60,27 +61,21 @@ def test_block_serves_next_without_new_persistence(tmp_path, monkeypatch):
     monkeypatch.setattr(wal, "append", lambda rec: appended.append(rec.reserved_up_to) or append(rec))
     oracle = StatusOracle(wal=wal, block_size=1000)
     ts = oracle.timestamps
-    assert appended == [1000] and wal.flush_count == 0  # creating it waits for nothing
-    # the first start enters the block: it appends the next block's
-    # reservation, then waits for its own block's outside the lock, and that
-    # one flush carries both
+    assert appended == [] and wal.flush_count == 0  # creating it appends nothing
+    # the first start enters the block: it appends the block's reservation
+    # and waits for it outside the lock
     assert oracle.start() == 1
-    assert reservations(wal.path) == [1000, 2000]  # durable before 1 was returned
-    assert appended == [1000, 2000] and wal.flush_count == 1
+    assert reservations(wal.path) == [1000]  # durable before 1 was returned
+    assert appended == [1000] and wal.flush_count == 1
     assert ts.reserved_up_to == 1000
     # starts inside the block touch no log
     assert [oracle.start() for _ in range(999)][-1] == 1000
-    assert appended == [1000, 2000] and wal.flush_count == 1
-    # the 1001st start enters a block whose reservation is already durable
+    assert appended == [1000] and wal.flush_count == 1
+    # the 1001st start enters the next block: one append and one flush
     assert oracle.start() == 1001
-    assert appended == [1000, 2000, 3000] and wal.flush_count == 1
-    assert reservations(wal.path) == [1000, 2000]  # 3000 is buffered, not durable
+    assert reservations(wal.path) == [1000, 2000]  # durable before 1001 was returned
+    assert appended == [1000, 2000] and wal.flush_count == 2
     assert ts.reserved_up_to == 2000
-    # the 2001st enters the block reserved by a record still buffered: it waits
-    assert [oracle.start() for _ in range(1000)][-1] == 2001
-    assert reservations(wal.path) == [1000, 2000, 3000, 4000]  # durable before 2001 was returned
-    assert appended == [1000, 2000, 3000, 4000] and wal.flush_count == 2
-    assert ts.reserved_up_to == 3000
     wal.close()
 
 
@@ -89,15 +84,15 @@ def test_block_size_one_persists_each_timestamp(tmp_path):
     oracle = StatusOracle(wal=wal, block_size=1)
     for i in range(1, 6):
         assert oracle.start() == i
-        # i's own reservation is durable; an odd start flushes it together
-        # with i + 1's, appended as i was drawn, so every other start syncs
-        assert reservations(wal.path) == list(range(1, i + 1 + i % 2))
-        assert wal.flush_count == (i + 1) // 2
+        # i's own reservation, appended as i was drawn, is durable: each start syncs
+        assert reservations(wal.path) == list(range(1, i + 1))
+        assert wal.flush_count == i
     # a commit timestamp waits for no reservation of its own: its record
     # follows the reservation, and the commit waits for the record
     decision = oracle.submit(5, {b"x": b"v"})
     assert decision.commit_ts == 6
-    assert reservations(wal.path) == list(range(1, 8))
+    assert reservations(wal.path) == list(range(1, 7))
+    assert wal.flush_count == 6  # one flush carried reservation 6 and the commit
     wal.close()
 
 
@@ -107,28 +102,27 @@ def test_recovery_resumes_above_highest_reservation(tmp_path):
     oracle = StatusOracle(wal=wal, block_size=1000)
     for _ in range(10):
         oracle.start()  # crash mid-block: only 10 of 1000 issued
-    # a crash now keeps only what is durable: the first start's flush carried
-    # the next block's reservation too, so recovery resumes above that block
+    # a crash now keeps only what is durable: the first block's reservation,
+    # made durable before the first start returned
     crashed = tmp_path / "crashed.wal"
     shutil.copyfile(path, crashed)
-    assert reservations(crashed) == [1000, 2000]
+    assert reservations(crashed) == [1000]
     _, highest = recover(crashed)
-    assert highest == 2000
+    assert highest == 1000
     wal2 = WriteAheadLog(crashed)
-    assert StatusOracle(wal=wal2).start() == 2001
+    assert StatusOracle(wal=wal2).start() == 1001
     wal2.close()
-    # entering the second block appends the third's reservation without
-    # waiting; closing makes it durable, so recovery skips that block too
+    # entering the second block makes its reservation durable before the
+    # start returns, so recovery skips that block too
     assert [oracle.start() for _ in range(991)][-1] == 1001
     assert reservations(path) == [1000, 2000]
     wal.close()
-    assert reservations(path) == [1000, 2000, 3000]
     _, highest = recover(path)
-    assert highest == 3000
+    assert highest == 2000
     wal3 = WriteAheadLog(path)
     value = StatusOracle(wal=wal3).start()
     wal3.close()
-    assert value == 3001
+    assert value == 2001
 
 
 class _FlakyWal:
@@ -150,17 +144,21 @@ class _FlakyWal:
 
 def test_failed_reservation_issues_nothing():
     wal = _FlakyWal()
-    with pytest.raises(OSError, match="disk full"):  # the first block's, at creation
-        TimestampOracle(wal, block_size=100)
-    wal.fail = False
-    ts = TimestampOracle(wal, block_size=100)
-    assert [ts.next() for _ in range(100)][-1] == 100
-    wal.fail = True
+    ts = TimestampOracle(wal, block_size=100)  # creating it appends nothing
     with pytest.raises(OSError, match="disk full"):  # the log's own error
-        ts.next()  # entering the second block appends the third's reservation
+        ts.next()  # entering the first block appends its reservation
+    assert (ts.last_issued(), ts.reserved_up_to, ts.block_ack) == (0, 0, None)
+    wal.fail = False
+    assert [ts.next() for _ in range(100)] == list(range(1, 101))
+    first = ts.block_ack
+    wal.fail = True
+    with pytest.raises(OSError, match="disk full"):
+        ts.next()  # entering the second block appends its reservation
+    assert (ts.last_issued(), ts.reserved_up_to) == (100, 100) and ts.block_ack is first
     wal.fail = False
     # no timestamp of the block was issued, so issuance resumes at its first
     assert ts.next() == 101
+    assert ts.reserved_up_to == 200
 
 
 def test_block_size_must_be_positive():

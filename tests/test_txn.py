@@ -47,7 +47,7 @@ def test_begin_on_a_closed_durable_database_raises_and_draws_nothing(tmp_path):
         state = (db.timestamps.last_issued(), db.timestamps.reserved_up_to)
         with pytest.raises(WalClosedError):
             db.begin()
-        assert db.oracle._active == {}
+        assert db.oracle._active == set()
         assert (db.timestamps.last_issued(), db.timestamps.reserved_up_to) == state
 
 
@@ -229,7 +229,7 @@ class _CommitFailWal:
     error = None  # what a failed WriteAheadLog would raise from then on
     closed = False
     recovered = []  # a new log: nothing to replay
-    appended = durable = 0  # read by start() and read-only commits
+    durable = appended_ts = durable_ts = 0  # read by start() and read-only commits
 
     def append(self, rec):
         class _Ack:
@@ -362,11 +362,11 @@ def test_close_decides_every_live_transaction(tmp_path, durable):
     writer.write(b"x", b"v")
     reader.read(b"x")
     db.close()
-    assert db.oracle._active == {}
+    assert db.oracle._active == set()
     for decide in (writer.commit, reader.commit, writer.abort):
         with pytest.raises(DuplicateRequestError, match="is not live"):
             decide()
-        assert db.oracle._active == {}
+        assert db.oracle._active == set()
     assert db.oracle.table.commit_records == {} and db.store.rows() == []
     if durable:
         assert {rec.kind for rec in read_records(path)} == {KIND_TS_RESERVE}
@@ -572,7 +572,7 @@ def test_concurrent_read_only_and_writing_commits_keep_exact_counts():
     assert oracle.committed_count == len(read_only) + sum(w for w, _ in seen)
     assert len(oracle.table.commit_records) == sum(w for w, _ in seen)
     assert not oracle.table.commit_records.keys() & set(read_only)
-    assert oracle._active == {}
+    assert oracle._active == set()
 
 
 def test_concurrent_transfers_keep_every_snapshot_balanced():

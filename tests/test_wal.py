@@ -331,6 +331,26 @@ def test_an_oracle_opened_on_a_crashed_log_is_what_recover_reads(tmp_path):
     wal.close()
 
 
+def test_opening_a_log_changes_nothing_until_a_begin(tmp_path):
+    path = tmp_path / "x.wal"
+    db = Database(WSI, wal=WriteAheadLog(path), block_size=10)
+    writer = db.begin()
+    writer.write(b"x", b"1")
+    assert writer.commit().committed
+    db.close()
+    data = path.read_bytes()
+    _, reserved = recover(path)
+    assert reserved == 10
+    for _ in range(2):
+        Database(WSI, wal=WriteAheadLog(path)).close()
+        Database.recover(path).close()
+        assert path.read_bytes() == data
+        assert recover(path)[1] == reserved
+    db = Database.recover(path)
+    assert db.begin().start_ts == reserved + 1
+    db.close()
+
+
 def test_recovery_is_idempotent_across_rewrite(tmp_path):
     path = tmp_path / "x.wal"
     wal = WriteAheadLog(path)
@@ -596,7 +616,7 @@ def test_begin_proceeds_while_committers_wait_on_fsync(tmp_path, monkeypatch):
 
 def test_begin_inside_a_block_returns_while_a_sync_is_blocked(tmp_path, monkeypatch):
     db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"), block_size=4)
-    # start 1: 8 is appended ahead, and one flush makes it and 4 durable
+    # start 1 enters the first block: it appends 4 and waits for its flush
     writer = db.begin()
     writer.write(b"x", b"1")
     sync = _BlockingSync(monkeypatch)
@@ -617,12 +637,15 @@ def test_begin_inside_a_block_returns_while_a_sync_is_blocked(tmp_path, monkeypa
     began[0].write(b"y", b"2")
     assert began[0].commit().committed  # commit 4
     flushes = db.wal.flush_count
+    assert [r.reserved_up_to for r in read_records(db.wal.path) if r.kind == KIND_TS_RESERVE] == [4]
+    # start 5 enters the next block: it appends 8 and waits for one flush,
+    # after the oracle's lock is released
+    assert db.begin().start_ts == 5
+    assert db.wal.flush_count == flushes + 1
     assert [r.reserved_up_to for r in read_records(db.wal.path) if r.kind == KIND_TS_RESERVE] == [4, 8]
-    assert db.begin().start_ts == 5  # entering the next block waits for no flush
-    assert db.wal.flush_count == flushes
     assert db.timestamps.reserved_up_to == 8
-    db.close()  # flushes 12, appended ahead when start 5 entered the block
-    assert [r.reserved_up_to for r in read_records(db.wal.path) if r.kind == KIND_TS_RESERVE] == [4, 8, 12]
+    db.close()  # appends nothing: no block was entered since
+    assert [r.reserved_up_to for r in read_records(db.wal.path) if r.kind == KIND_TS_RESERVE] == [4, 8]
 
 
 def test_failed_fsync_fails_its_batch_and_stops_the_log(tmp_path, monkeypatch):
@@ -757,6 +780,34 @@ def test_read_only_commit_waits_for_the_commits_in_its_snapshot(tmp_path, monkey
     else:
         assert outcome == [CommitDecision(True, reader.start_ts)]
         db.close()
+
+
+def test_a_read_only_request_for_a_start_not_live_walks_and_changes_nothing(tmp_path, monkeypatch):
+    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
+    db.seed_committed(b"x", b"0")  # durable: its commit waited
+    reader, writer = db.begin(), db.begin()
+    assert reader.read(b"x") == b"0"
+    assert reader.commit().committed
+    writer.write(b"y", b"1")
+    sync = _BlockingSync(monkeypatch)
+    committer = threading.Thread(target=writer.commit)
+    committer.start()
+    oracle, walked = db.oracle, []
+    newest_read = oracle.store.newest_read
+    monkeypatch.setattr(
+        oracle.store, "newest_read", lambda rows, ts: walked.append(ts) or newest_read(rows, ts)
+    )
+    try:
+        assert sync.entered.wait(2.0)  # the writer's record is in flight, so a read-only request walks
+        before = (set(oracle._active), oracle.committed_count, oracle.read_only_commits)
+        with pytest.raises(DuplicateRequestError, match="is not live"):
+            oracle.submit(reader.start_ts, {}, {b"x"})
+        assert walked == [reader.start_ts]
+        assert (set(oracle._active), oracle.committed_count, oracle.read_only_commits) == before
+    finally:
+        sync.release.set()
+        _join(committer)
+    db.close()
 
 
 def test_a_writing_commit_whose_wait_raises_is_not_counted(tmp_path, monkeypatch):
@@ -1010,7 +1061,7 @@ def test_read_only_commits_leave_no_state(tmp_path):
         assert h.read(b"x") == b"0"
         assert h.commit() == CommitDecision(True, h.start_ts)
     assert state() == before
-    assert oracle._active == {}
+    assert oracle._active == set()
     assert oracle.committed_count == committed + 10_000
     assert oracle.read_only_commits == 10_000
     db.close()
@@ -1113,7 +1164,7 @@ def test_failed_log_stops_the_engine_without_changing_the_table(tmp_path, monkey
         doomed.commit()
     assert doomed.state is HandleState.ACTIVE
     table, active = db.oracle.table, db.oracle._active
-    before = (dict(table.commit_records), dict(table.last_commit), table.t_max, dict(active))
+    before = (dict(table.commit_records), dict(table.last_commit), table.t_max, set(active))
     for attempt in (
         db.begin,
         later.commit,
