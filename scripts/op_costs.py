@@ -11,6 +11,10 @@ thread, and the best of `--repeat` timings is printed:
 - `durable_begin`: `begin()` on the durable database below, so one begin in
   each block of 1 000 appends the block's reservation and waits for its
   flush;
+- `durable_begin_in_process`: the same begins, less the time their flushes
+  spent in `os.fdatasync`, which a wrapper times during these timings only:
+  the sync's latency swings from run to run and would hide the cost of the
+  begin path itself;
 - `read`: `h.read(row)` on one handle and one loaded row;
 - `read_in_writer`: the same read on a handle that first wrote the five rows
   `write5_commit` writes, so the read looks past the handle's own writes
@@ -35,6 +39,7 @@ import argparse
 import os
 import sys
 import tempfile
+import time
 import timeit
 
 from wsikv import Database, WriteAheadLog
@@ -62,6 +67,32 @@ def best_ns(stmt: str, setup: str, names: dict, number: int, repeat: int, per: i
     """Best of `repeat` timings of `number` runs of stmt, in ns per operation."""
     times = timeit.Timer(stmt, setup, globals=names).repeat(repeat=repeat, number=number)
     return min(times) / (number * per) * 1e9
+
+
+def best_net_of_sync_ns(stmt: str, names: dict, number: int, repeat: int) -> float:
+    """Best of `repeat` timings of `number` runs of stmt, each net of the time
+    its calls of os.fdatasync took, in ns per run."""
+    synced = 0.0
+    fdatasync = os.fdatasync
+
+    def timed_fdatasync(fd):
+        nonlocal synced
+        t0 = time.perf_counter()
+        try:
+            fdatasync(fd)
+        finally:
+            synced += time.perf_counter() - t0
+
+    timer = timeit.Timer(stmt, globals=names)
+    os.fdatasync = timed_fdatasync  # the log calls it through the os module
+    try:
+        nets = []
+        for _ in range(repeat):
+            synced = 0.0
+            nets.append(timer.timeit(number) - synced)
+    finally:
+        os.fdatasync = fdatasync
+    return min(nets) / number * 1e9
 
 
 def main() -> int:
@@ -99,6 +130,7 @@ def main() -> int:
         costs = {
             "begin": best_ns("db.begin()", "", names, n, repeat, 1),
             "durable_begin": best_ns("durable.begin()", "", names, n, repeat, 1),
+            "durable_begin_in_process": best_net_of_sync_ns("durable.begin()", names, n, repeat),
             "read": best_ns("h.read(row)", "h = db.begin()", names, n, repeat, 1),
             "read_in_writer": best_ns(
                 "h.read(row)", "h = db.begin()\nfor r in write_rows: h.write(r, value)", names, n, repeat, 1

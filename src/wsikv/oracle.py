@@ -60,7 +60,7 @@ import threading
 from typing import NamedTuple
 
 from .mvstore import VersionedStore
-from .timestamps import DEFAULT_BLOCK_SIZE, TimestampOracle
+from .timestamps import TimestampOracle
 from .wal import KIND_COMMIT, KIND_TS_RESERVE, DurableAck, WalClosedError, WalRecord, read_records
 
 RowId = bytes
@@ -164,22 +164,22 @@ def recover(path: str | os.PathLike, capacity: int | None = None):
 class StatusOracle:
     """Decides each request that writes in one critical section.
 
-    It builds its commit table, replayed from the records `wal` read when it
-    was opened, its timestamp oracle and its store. The conflict check,
-    commit-timestamp draw, last-committer update and installation of the
-    committed writes in `store` form one atomic step, and an abort only
-    leaves the live set: the store never held its writes. start() draws
-    start timestamps and registers them as live, and gc() cuts the store's
-    rows holding three or more versions, inside the same lock. A request
-    that writes nothing commits outside it, at its start timestamp, logs and
-    stores nothing, and returns once every version it read is durable; it
-    looks at what it read only while the log has a commit record in flight. A
-    writing commit is appended to the write-ahead log before it changes any
-    state, so a record that cannot be logged leaves the oracle as it was;
-    appending only buffers, and the caller waits for durability after the
-    lock is released. An abort waits for nothing, so its snapshot may hold a
-    commit not yet durable: safe, since an abort promises its client nothing
-    about what it read.
+    It decides under `policy` and builds its commit table, of `capacity`
+    rows, replayed from the records `wal` read when it was opened, its
+    timestamp oracle and its store. The conflict check, commit-timestamp
+    draw, last-committer update and installation of the committed writes in
+    `store` form one atomic step, and an abort only leaves the live set: the
+    store never held its writes. start() draws start timestamps and registers
+    them as live, and gc() cuts the store's rows holding three or more
+    versions, inside the same lock. A request that writes nothing commits
+    outside it, at its start timestamp, logs and stores nothing, and returns
+    once every version it read is durable; it looks at what it read only
+    while the log has a commit record in flight. A writing commit is appended
+    to the write-ahead log before it changes any state, so a record that
+    cannot be logged leaves the oracle as it was; appending only buffers, and
+    the caller waits for durability after the lock is released. An abort
+    waits for nothing, so its snapshot may hold a commit not yet durable:
+    safe, since an abort promises its client nothing about what it read.
 
     `committed_count` and `read_only_commits` are exact once no decision is
     in flight. They are derived from counters kept under the lock: a start
@@ -195,12 +195,11 @@ class StatusOracle:
         *,
         capacity: int | None = None,
         wal=None,
-        block_size: int = DEFAULT_BLOCK_SIZE,
     ):
         records = wal.recovered if wal is not None else []
         self.table, highest = replay(records, capacity)
         records.clear()  # replayed into the table; not kept twice
-        self.timestamps = TimestampOracle(wal, block_size, start_after=highest)
+        self.timestamps = TimestampOracle(wal, start_after=highest)
         self.store = VersionedStore()
         self.policy = policy
         self.wal = wal

@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 
 from .oracle import CommitDecision, IsolationPolicy, StatusOracle
-from .timestamps import DEFAULT_BLOCK_SIZE
 from .wal import WriteAheadLog
 
 
@@ -89,8 +88,8 @@ class Transaction:
 class Database:
     """Embeddable transactional layer over the multi-version store.
 
-    Opening a database on a log recovers it: its status oracle replays the
-    records the log read when it was opened into the commit table, and
+    `policy`, `capacity` and `wal` open its status oracle, which recovers a
+    log: it replays the records the log read into its commit table and
     resumes timestamps above the highest persisted reservation, so none is
     issued twice. `timestamps` and `store` are the oracle's own.
     """
@@ -101,10 +100,9 @@ class Database:
         *,
         capacity: int | None = None,
         wal=None,
-        block_size: int = DEFAULT_BLOCK_SIZE,
     ):
         self.wal = wal
-        self.oracle = StatusOracle(policy, capacity=capacity, wal=wal, block_size=block_size)
+        self.oracle = StatusOracle(policy, capacity=capacity, wal=wal)
         self.timestamps, self.store = self.oracle.timestamps, self.oracle.store
 
     @classmethod
@@ -114,15 +112,14 @@ class Database:
         policy: IsolationPolicy = IsolationPolicy.WSI,
         *,
         capacity: int | None = None,
-        block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> "Database":
-        """Shorthand for a database opened on `WriteAheadLog(path)`, which
-        recovers oracle state from the log and resumes appending to it: the
-        commit table of the writing commits, and timestamps above the highest
-        reservation. Read-only commits and aborts leave no record, so no
-        outcome of theirs is recovered. The store itself is not persisted;
-        only oracle state survives a crash."""
-        return cls(policy, capacity=capacity, wal=WriteAheadLog(path), block_size=block_size)
+        """Shorthand for `Database(policy, capacity=capacity,
+        wal=WriteAheadLog(path))`, which recovers oracle state from the log and
+        resumes appending to it: the commit table of the writing commits, and
+        timestamps above the highest reservation. Read-only commits and aborts
+        leave no record, so no outcome of theirs is recovered. The store itself
+        is not persisted; only oracle state survives a crash."""
+        return cls(policy, capacity=capacity, wal=WriteAheadLog(path))
 
     def begin(self) -> Transaction:
         return Transaction(self, self.oracle.start())

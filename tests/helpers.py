@@ -1,4 +1,5 @@
-"""Shared generators and independent reference models for the test suite.
+"""Shared generators, independent reference models and a timestamp block-size
+patch for the test suite.
 
 The reference models here deliberately re-derive behavior from first
 principles (min-scans, pairwise overlap checks) instead of reusing the
@@ -8,11 +9,19 @@ package's data structures, so the tests cross-check two routes.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
+from wsikv import timestamps
 from wsikv.history import History, HistoryEvent
 from wsikv.oracle import IsolationPolicy, StatusOracle
 
 ITEMS = "abcd"
+
+
+def timestamp_blocks(size: int):
+    """Timestamp blocks of `size` for every draw while the patch is active,
+    as a test decorator or a context manager."""
+    return mock.patch.object(timestamps, "DEFAULT_BLOCK_SIZE", size)
 
 
 def random_history(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import TableTwin, random_history, random_schedule
+from helpers import TableTwin, random_history, random_schedule, timestamp_blocks
 from wsikv.history import (
     construct_serial,
     is_serializable,
@@ -261,6 +261,7 @@ def test_c5_bounded_differential(capsys):
 # -- 6. crash-recovery equivalence --------------------------------------------------------
 
 
+@timestamp_blocks(64)
 def test_c6_crash_recovery_equivalence(tmp_path, capsys):
     rng = random.Random(606)
     rows = [struct.pack("<q", i) for i in range(32)]
@@ -270,7 +271,7 @@ def test_c6_crash_recovery_equivalence(tmp_path, capsys):
         target = rng.randint(1, 1000)
         path = tmp_path / f"crash{trial}.wal"
         wal = WriteAheadLog(path)
-        oracle = StatusOracle(WSI, capacity=16, wal=wal, block_size=64)
+        oracle = StatusOracle(WSI, capacity=16, wal=wal)
         twin = TableTwin(16)
         issued: list[int] = []
         live: list[int] = []

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import timestamp_blocks
 from wsikv import wal as wal_module
 from wsikv.cli import main
 from wsikv.oracle import IsolationPolicy
@@ -221,9 +222,10 @@ def test_run_reports_a_failed_log_flush_raised_in_a_client(tmp_path, monkeypatch
     assert captured.err.startswith("error: wal flush failed: ")
 
 
+@timestamp_blocks(10)
 def test_recover_prints_rebuilt_state(tmp_path, capsys):
     wal = WriteAheadLog(tmp_path / "db.wal")
-    db = Database(IsolationPolicy.WSI, wal=wal, block_size=10)
+    db = Database(IsolationPolicy.WSI, wal=wal)
     for i in range(5):
         h = db.begin()
         h.write(b"row%d" % i, b"v")

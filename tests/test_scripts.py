@@ -53,6 +53,7 @@ def test_op_costs_prints_the_cost_of_each_operation():
     assert [op for op, _ in rows] == [
         "begin",
         "durable_begin",
+        "durable_begin_in_process",
         "read",
         "read_in_writer",
         "write",

@@ -4,6 +4,7 @@ import threading
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import timestamp_blocks
 from wsikv.oracle import StatusOracle, recover
 from wsikv.timestamps import TimestampOracle
 from wsikv.wal import KIND_TS_RESERVE, WriteAheadLog, read_records
@@ -18,12 +19,13 @@ def test_fresh_counter_starts_at_one():
     assert [ts.next() for _ in range(3)] == [1, 2, 3]
 
 
+@timestamp_blocks(100)
 def test_concurrent_next_values_are_unique(tmp_path):
     # drawn through the oracle's start(), the one caller of next() besides
     # commits; blocks of 100 make the starts that enter one wait for a
     # reservation outside the lock while others draw
     wal = WriteAheadLog(tmp_path / "ts.wal")
-    oracle = StatusOracle(wal=wal, block_size=100)
+    oracle = StatusOracle(wal=wal)
     out = []
     lock = threading.Lock()
 
@@ -45,7 +47,7 @@ def test_concurrent_next_values_are_unique(tmp_path):
 
 def test_next_never_waits_on_the_log(tmp_path):
     wal = WriteAheadLog(tmp_path / "ts.wal")
-    ts = TimestampOracle(wal, block_size=1000)
+    ts = TimestampOracle(wal)
     assert wal.appended == 0  # creating it appends nothing
     assert [ts.next() for _ in range(2500)][-1] == 2500
     assert ts.reserved_up_to == 3000
@@ -59,7 +61,7 @@ def test_block_serves_next_without_new_persistence(tmp_path, monkeypatch):
     appended = []
     append = wal.append
     monkeypatch.setattr(wal, "append", lambda rec: appended.append(rec.reserved_up_to) or append(rec))
-    oracle = StatusOracle(wal=wal, block_size=1000)
+    oracle = StatusOracle(wal=wal)
     ts = oracle.timestamps
     assert appended == [] and wal.flush_count == 0  # creating it appends nothing
     # the first start enters the block: it appends the block's reservation
@@ -79,9 +81,10 @@ def test_block_serves_next_without_new_persistence(tmp_path, monkeypatch):
     wal.close()
 
 
+@timestamp_blocks(1)
 def test_block_size_one_persists_each_timestamp(tmp_path):
     wal = WriteAheadLog(tmp_path / "ts.wal")
-    oracle = StatusOracle(wal=wal, block_size=1)
+    oracle = StatusOracle(wal=wal)
     for i in range(1, 6):
         assert oracle.start() == i
         # i's own reservation, appended as i was drawn, is durable: each start syncs
@@ -99,7 +102,7 @@ def test_block_size_one_persists_each_timestamp(tmp_path):
 def test_recovery_resumes_above_highest_reservation(tmp_path):
     path = tmp_path / "ts.wal"
     wal = WriteAheadLog(path)
-    oracle = StatusOracle(wal=wal, block_size=1000)
+    oracle = StatusOracle(wal=wal)
     for _ in range(10):
         oracle.start()  # crash mid-block: only 10 of 1000 issued
     # a crash now keeps only what is durable: the first block's reservation,
@@ -142,9 +145,10 @@ class _FlakyWal:
         return _Ack()
 
 
+@timestamp_blocks(100)
 def test_failed_reservation_issues_nothing():
     wal = _FlakyWal()
-    ts = TimestampOracle(wal, block_size=100)  # creating it appends nothing
+    ts = TimestampOracle(wal)  # creating it appends nothing
     with pytest.raises(OSError, match="disk full"):  # the log's own error
         ts.next()  # entering the first block appends its reservation
     assert (ts.last_issued(), ts.reserved_up_to, ts.block_ack) == (0, 0, None)
@@ -161,14 +165,10 @@ def test_failed_reservation_issues_nothing():
     assert ts.reserved_up_to == 200
 
 
-def test_block_size_must_be_positive():
-    with pytest.raises(ValueError):
-        TimestampOracle(block_size=0)
-
-
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=60))
 def test_issued_values_strictly_increase(block_size, draws):
-    ts = TimestampOracle(block_size=block_size)
-    issued = [ts.next() for _ in range(draws)]
+    with timestamp_blocks(block_size):
+        ts = TimestampOracle()
+        issued = [ts.next() for _ in range(draws)]
     assert issued == list(range(1, draws + 1))
     assert ts.reserved_up_to == -(-draws // block_size) * block_size  # whole blocks only

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from helpers import timestamp_blocks
 from wsikv import wal as wal_module
 from wsikv.oracle import DuplicateRequestError, IsolationPolicy, recover
 from wsikv.txn import Database, HandleState, TransactionStateError
@@ -37,10 +38,11 @@ def test_the_database_runs_the_oracles_own_timestamps_and_store():
     assert db.timestamps is db.oracle.timestamps
 
 
+@timestamp_blocks(2)
 def test_begin_on_a_closed_durable_database_raises_and_draws_nothing(tmp_path):
     # with blocks of 2 the next draw alternately enters a block and stays in one
     for draws in range(4):
-        db = Database(WSI, wal=WriteAheadLog(tmp_path / f"db{draws}.wal"), block_size=2)
+        db = Database(WSI, wal=WriteAheadLog(tmp_path / f"db{draws}.wal"))
         for _ in range(draws):
             assert db.begin().commit().committed
         db.close()
@@ -273,9 +275,10 @@ def test_unloggable_commit_changes_no_state(tmp_path):
     recovered.close()
 
 
+@timestamp_blocks(4)
 def test_database_recover_decodes_each_record_once(tmp_path, monkeypatch):
     path = tmp_path / "db.wal"
-    db = Database(WSI, wal=WriteAheadLog(path), block_size=4)
+    db = Database(WSI, wal=WriteAheadLog(path))
     for i in range(10):
         h = db.begin()
         h.write(b"r%d" % i, b"v")
@@ -292,9 +295,10 @@ def test_database_recover_decodes_each_record_once(tmp_path, monkeypatch):
     recovered.close()
 
 
+@timestamp_blocks(4)
 def test_opening_a_database_on_a_log_recovers_it(tmp_path):
     path = tmp_path / "db.wal"
-    db = Database(WSI, wal=WriteAheadLog(path), block_size=4)
+    db = Database(WSI, wal=WriteAheadLog(path))
     for i in range(9):
         h = db.begin()
         h.write(b"r%d" % (i % 3), b"v")
@@ -307,8 +311,8 @@ def test_opening_a_database_on_a_log_recovers_it(tmp_path):
     assert KIND_ABORT not in {rec.kind for rec in read_records(path)}
     copy = tmp_path / "copy.wal"
     shutil.copy(path, copy)
-    reopened = Database(WSI, wal=WriteAheadLog(path), block_size=4)
-    recovered = Database.recover(copy, block_size=4)
+    reopened = Database(WSI, wal=WriteAheadLog(path))
+    recovered = Database.recover(copy)
     assert _oracle_state(reopened) == _oracle_state(recovered) == _oracle_state(db)
     for db in (reopened, recovered):
         with pytest.raises(DuplicateRequestError, match="is not live"):
@@ -374,10 +378,11 @@ def test_close_decides_every_live_transaction(tmp_path, durable):
         assert db.begin().commit().committed
 
 
+@timestamp_blocks(16)
 def test_recovered_database_decides_like_a_never_crashed_one(tmp_path):
     path = tmp_path / "db.wal"
     wal = WriteAheadLog(path)
-    survivor = Database(WSI, capacity=8, wal=wal, block_size=16)
+    survivor = Database(WSI, capacity=8, wal=wal)
     rng = random.Random(23)
     rows = [b"r%d" % i for i in range(12)]
     for _ in range(60):
@@ -391,7 +396,7 @@ def test_recovered_database_decides_like_a_never_crashed_one(tmp_path):
     # crash: rebuild a second database from a copy of the log
     copy = tmp_path / "copy.wal"
     shutil.copy(path, copy)
-    recovered = Database.recover(copy, WSI, capacity=8, block_size=16)
+    recovered = Database.recover(copy, WSI, capacity=8)
     assert recovered.oracle.table.last_commit == survivor.oracle.table.last_commit
     assert recovered.oracle.table.t_max == survivor.oracle.table.t_max
     # identical post-recovery request sequences get identical decisions

@@ -8,10 +8,12 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import timestamp_blocks
 from wsikv import wal as wal_module
 from wsikv.oracle import (
     CommitDecision,
@@ -282,10 +284,11 @@ def test_new_log_is_created_atomically(tmp_path, monkeypatch):
     assert read_records(path) == [WalRecord(KIND_ABORT, 1)]
 
 
+@timestamp_blocks(50)
 def test_recovery_matches_live_oracle_state(tmp_path):
     path = tmp_path / "x.wal"
     wal = WriteAheadLog(path)
-    oracle = StatusOracle(IsolationPolicy.WSI, capacity=4, wal=wal, block_size=50)
+    oracle = StatusOracle(IsolationPolicy.WSI, capacity=4, wal=wal)
     rng = random.Random(7)
     rows = [bytes([65 + i]) for i in range(8)]
     for _ in range(120):
@@ -301,9 +304,10 @@ def test_recovery_matches_live_oracle_state(tmp_path):
     assert highest >= oracle.timestamps.last_issued()
 
 
+@timestamp_blocks(8)
 def test_an_oracle_opened_on_a_crashed_log_is_what_recover_reads(tmp_path):
     path = tmp_path / "x.wal"
-    live = StatusOracle(IsolationPolicy.WSI, capacity=4, wal=WriteAheadLog(path), block_size=8)
+    live = StatusOracle(IsolationPolicy.WSI, capacity=4, wal=WriteAheadLog(path))
     rng = random.Random(11)
     rows = [bytes([65 + i]) for i in range(8)]
     abandoned = []
@@ -320,7 +324,7 @@ def test_an_oracle_opened_on_a_crashed_log_is_what_recover_reads(tmp_path):
     assert abandoned and table.commit_records and table.t_max > 0
     assert highest >= live.timestamps.last_issued()
     wal = WriteAheadLog(crashed)
-    oracle = StatusOracle(IsolationPolicy.WSI, capacity=4, wal=wal, block_size=8)
+    oracle = StatusOracle(IsolationPolicy.WSI, capacity=4, wal=wal)
     for field in ("commit_records", "last_commit", "t_max"):
         assert getattr(oracle.table, field) == getattr(table, field), field
     assert wal.recovered == []
@@ -331,9 +335,10 @@ def test_an_oracle_opened_on_a_crashed_log_is_what_recover_reads(tmp_path):
     wal.close()
 
 
+@timestamp_blocks(10)
 def test_opening_a_log_changes_nothing_until_a_begin(tmp_path):
     path = tmp_path / "x.wal"
-    db = Database(WSI, wal=WriteAheadLog(path), block_size=10)
+    db = Database(WSI, wal=WriteAheadLog(path))
     writer = db.begin()
     writer.write(b"x", b"1")
     assert writer.commit().committed
@@ -512,6 +517,42 @@ def test_corrupt_length_in_the_first_batch_is_refused_without_truncating(tmp_pat
     assert path.read_bytes() == data  # refused, not truncated
 
 
+def _framed(payload: bytes) -> bytes:
+    """A record as a batch body holds it: its u32 payload length, then the payload."""
+    return struct.pack("<I", len(payload)) + payload
+
+
+def _trailing_byte(rec: WalRecord) -> bytes:
+    return _framed(rec.encode()[4:] + b"\0")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        _trailing_byte(WalRecord(KIND_COMMIT, 3, 4, (b"b",))),
+        _trailing_byte(WalRecord(KIND_ABORT, 3)),
+        _trailing_byte(WalRecord(KIND_TS_RESERVE, reserved_up_to=9)),
+        _framed(struct.pack("<BQ", 9, 3)),  # an unknown kind
+        _framed(struct.pack("<BQQIH", KIND_COMMIT, 3, 4, 2, 1) + b"b"),  # two rows counted, one present
+        struct.pack("<I", 64) + WalRecord(KIND_ABORT, 3).encode()[4:],  # a length past the batch's end
+    ],
+    ids=["commit-trailing", "abort-trailing", "reserve-trailing", "kind", "rows-missing", "past-batch"],
+)
+def test_a_batch_with_intact_checksums_and_an_undecodable_record_is_refused(tmp_path, bad):
+    # framed as a flush frames it, so both checksums pass; read as a torn tail,
+    # it would drop the acknowledged record before it on reopen
+    body = WalRecord(KIND_COMMIT, 1, 2, (b"a",)).encode() + bad
+    head = struct.pack("<QII", len(MAGIC), len(body), zlib.crc32(body))
+    data = MAGIC + head + struct.pack("<I", zlib.crc32(head)) + body
+    path = tmp_path / "x.wal"
+    path.write_bytes(data)
+    with pytest.raises(CorruptLogError, match="undecodable record"):
+        read_records(path)
+    with pytest.raises(CorruptLogError, match="undecodable record"):
+        WriteAheadLog(path)
+    assert path.read_bytes() == data
+
+
 class _BlockingSync:
     """Stands in for os.fdatasync: blocks until released, then fails or syncs."""
 
@@ -614,8 +655,9 @@ def test_begin_proceeds_while_committers_wait_on_fsync(tmp_path, monkeypatch):
     db.close()
 
 
+@timestamp_blocks(4)
 def test_begin_inside_a_block_returns_while_a_sync_is_blocked(tmp_path, monkeypatch):
-    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"), block_size=4)
+    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
     # start 1 enters the first block: it appends 4 and waits for its flush
     writer = db.begin()
     writer.write(b"x", b"1")
@@ -705,8 +747,72 @@ def test_torn_write_stops_the_log_and_recovers_to_the_last_whole_record(tmp_path
         assert [r.start_ts for r in read_records(path)] == [1, 6]
 
 
+def _short_pwrite(monkeypatch):
+    """Make os.pwrite write only the first half of its bytes and return that count."""
+    pwrite = os.pwrite
+
+    def short(fd, data, offset):
+        return pwrite(fd, data[: len(data) // 2], offset)
+
+    monkeypatch.setattr(wal_module.os, "pwrite", short)
+
+
+@pytest.mark.parametrize("acknowledged", [0, 3])
+def test_short_write_stops_the_log_and_recovers_what_was_acknowledged(tmp_path, monkeypatch, acknowledged):
+    path = tmp_path / "x.wal"
+    db = Database(WSI, wal=WriteAheadLog(path))
+    committed = {}
+    for i in range(acknowledged):
+        h = db.begin()
+        h.write(b"r%d" % i, b"v")
+        committed[h.start_ts] = h.commit().commit_ts
+    _short_pwrite(monkeypatch)
+    with pytest.raises(WalError, match="short write") as raised:
+        if acknowledged:
+            h = db.begin()
+            h.write(b"x", b"v")
+            h.commit()  # its batch is the short write
+        else:
+            db.begin()  # its reservation's flush first zero-fills a chunk: the short write
+    assert db.wal.error is raised.value
+    with pytest.raises(WalError):
+        db.begin()
+    with pytest.raises(WalError):
+        db.close()  # releases the log for the reopen below
+    monkeypatch.undo()
+    reopened = Database.recover(path)
+    assert reopened.oracle.table.commit_records == committed
+    reopened.close()
+
+
+class _Interrupt(BaseException):
+    """An exception that is not an Exception, as a signal handler may raise."""
+
+
+def test_interrupted_flush_stops_the_log(tmp_path, monkeypatch):
+    # its batch has left the buffer: were the log to go on, the next flush
+    # would mark that batch durable without having synced it
+    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
+    db.seed_committed(b"x", b"0")
+
+    def interrupted(fd):
+        raise _Interrupt
+
+    monkeypatch.setattr(wal_module.os, "fdatasync", interrupted)
+    h = db.begin()
+    h.write(b"x", b"1")
+    with pytest.raises(_Interrupt):
+        h.commit()
+    assert isinstance(db.wal.error, WalError)
+    with pytest.raises(WalError):
+        db.begin()
+    with pytest.raises(WalError):
+        db.close()
+
+
+@timestamp_blocks(1)
 def test_failed_reservation_reaches_begin_as_the_log_error(tmp_path, monkeypatch):
-    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"), block_size=1)
+    db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
     began = [db.begin(), db.begin()]  # the first one's flush made the reservations of 1 and 2 durable
     assert [h.start_ts for h in began] == [1, 2]
     monkeypatch.setattr(wal_module.os, "fdatasync", _failing_sync)
@@ -861,12 +967,22 @@ def _returns_promptly(call):
     return not done.is_alive(), done
 
 
-@pytest.mark.parametrize("row, value", [(b"y", b"0"), (b"absent", None)])
-def test_read_only_commit_waits_for_no_commit_it_did_not_read(tmp_path, monkeypatch, row, value):
+@pytest.mark.parametrize(
+    "row, value, begun_before",
+    [
+        pytest.param(b"y", b"0", False, id="y-0"),
+        pytest.param(b"absent", None, False, id="absent-None"),
+        pytest.param(b"new", None, True, id="new-begun-before"),  # every version of new lies above its start
+    ],
+)
+def test_read_only_commit_waits_for_no_commit_it_did_not_read(
+    tmp_path, monkeypatch, row, value, begun_before
+):
     db = Database(WSI, wal=WriteAheadLog(tmp_path / "x.wal"))
     db.seed_committed(b"y", b"0")  # durable: its commit waited
-    sync, committer = _commit_in_flight(db, monkeypatch, b"x")
-    reader = db.begin()  # its snapshot holds the commit being flushed
+    early = db.begin() if begun_before else None
+    sync, committer = _commit_in_flight(db, monkeypatch, b"new")
+    reader = early or db.begin()  # begun after it, its snapshot holds the commit being flushed
     assert reader.read(row) == value
     returned, committing = _returns_promptly(reader.commit)
     sync.release.set()
@@ -1048,10 +1164,11 @@ def test_read_only_commits_return_only_once_what_they_read_is_durable(tmp_path, 
             assert commit_ts[int(value)] <= durable_ts
 
 
+@timestamp_blocks(20_000)
 def test_read_only_commits_leave_no_state(tmp_path):
     path = tmp_path / "x.wal"
     # one block holds every start, so no begin appends a reservation
-    db = Database(WSI, wal=WriteAheadLog(path), block_size=20_000)
+    db = Database(WSI, wal=WriteAheadLog(path))
     db.seed_committed(b"x", b"0")  # durable: its commit waited
     oracle, wal = db.oracle, db.wal
     state = lambda: (len(oracle.table.commit_records), wal.flush_count, wal._end, wal.appended)
