@@ -25,7 +25,15 @@ thread, and the best of `--repeat` timings is printed:
   whose write-ahead log is in a temporary directory and which holds that one
   row; with no commit record in flight, it appends nothing and waits for
   nothing;
-- `write5_commit`: `commit()` of a handle that wrote five rows, none read.
+- `write5_commit`: `commit()` of a handle that wrote five rows, none read;
+- `wal_encode_commit5`, `wal_encode_commit1000`: `encode()` of a commit
+  record of 5 or 1 000 loaded row keys, in ns per record; the 1 000-row
+  rows time `--number` / 100 records;
+- `wal_decode_commit5`, `wal_decode_commit1000`: `decode_payload()` of the
+  same records' payloads, in ns per record;
+- `recover_loaded`: `Database.recover()` and `close()` of a write-ahead log
+  holding the `--rows` loaded rows, loaded as above into a durable database,
+  in ns per loaded row: the read of the file, its decoding and the replay.
 
 Commits are timed as a loop over `--number` handles made before the timer
 starts, so begins and writes do not count in them. The numbers are the
@@ -43,6 +51,7 @@ import time
 import timeit
 
 from wsikv import Database, WriteAheadLog
+from wsikv.wal import KIND_COMMIT, WalRecord, decode_payload
 
 LOAD_TXN_ROWS = 1_000
 VALUE = b"v" * 16
@@ -52,8 +61,8 @@ def row_key(i: int) -> bytes:
     return b"row:%08d" % i
 
 
-def load(rows: int) -> Database:
-    db = Database()
+def load(rows: int, wal: WriteAheadLog | None = None) -> Database:
+    db = Database(wal=wal)
     for base in range(0, rows, LOAD_TXN_ROWS):
         h = db.begin()
         for i in range(base, min(base + LOAD_TXN_ROWS, rows)):
@@ -122,11 +131,18 @@ def main() -> int:
                 h.write(r, VALUE)
         return handles
 
+    records = {count: WalRecord(KIND_COMMIT, 1, 2, tuple(map(row_key, range(count)))) for count in (5, 1000)}
+    payloads = {count: rec.encode()[4:] for count, rec in records.items()}
+    big = max(1, n // 100)
     with tempfile.TemporaryDirectory() as tmp:
         durable = Database(wal=WriteAheadLog(os.path.join(tmp, "op_costs.wal")))
         durable.seed_committed(row, VALUE)
+        loaded_log = os.path.join(tmp, "loaded.wal")
+        load(args.rows, WriteAheadLog(loaded_log)).close()
         names = {"db": db, "durable": durable, "row": row, "value": VALUE, "write_rows": write_rows,
-                 "read_only_handles": read_only_handles, "writing_handles": writing_handles}
+                 "read_only_handles": read_only_handles, "writing_handles": writing_handles,
+                 "records": records, "payloads": payloads, "decode_payload": decode_payload,
+                 "Database": Database, "loaded_log": loaded_log}
         costs = {
             "begin": best_ns("db.begin()", "", names, n, repeat, 1),
             "durable_begin": best_ns("durable.begin()", "", names, n, repeat, 1),
@@ -145,6 +161,11 @@ def main() -> int:
             "write5_commit": best_ns(
                 "for h in hs: h.commit()", "hs = writing_handles()", names, 1, repeat, n
             ),
+            "wal_encode_commit5": best_ns("rec.encode()", "rec = records[5]", names, n, repeat, 1),
+            "wal_encode_commit1000": best_ns("rec.encode()", "rec = records[1000]", names, big, repeat, 1),
+            "wal_decode_commit5": best_ns("decode_payload(p)", "p = payloads[5]", names, n, repeat, 1),
+            "wal_decode_commit1000": best_ns("decode_payload(p)", "p = payloads[1000]", names, big, repeat, 1),
+            "recover_loaded": best_ns("Database.recover(loaded_log).close()", "", names, 1, repeat, args.rows),
         }
         durable.close()
     print("op,ns_per_op")

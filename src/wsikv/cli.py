@@ -8,7 +8,8 @@ import os
 import sys
 
 from .history import HistoryParseError, parse, replay_policy, verdict_line
-from .oracle import IsolationPolicy, recover
+from .oracle import IsolationPolicy, replay
+from .wal import KIND_COMMIT, KIND_TS_RESERVE, read_log
 from .workload import (
     BENCH_CSV_HEADER,
     CSV_HEADER,
@@ -155,11 +156,19 @@ def cmd_bench_oracle(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    table, highest = recover(args.path, capacity=args.capacity)
+    records, intact_bytes, file_bytes = read_log(args.path)
+    table, highest = replay(records, capacity=args.capacity)
+    commits = sum(1 for rec in records if rec.kind == KIND_COMMIT and rec.rows)
+    reservations = sum(1 for rec in records if rec.kind == KIND_TS_RESERVE)
     print(f"commit_records={len(table.commit_records)}")
     print(f"tracked_rows={len(table.last_commit)}")
     print(f"t_max={table.t_max}")
     print(f"reserved_up_to={highest}")
+    print(f"logged_commits={commits}")
+    print(f"logged_reservations={reservations}")
+    print(f"skipped_records={len(records) - commits - reservations}")  # what replay skips
+    print(f"intact_bytes={intact_bytes}")
+    print(f"file_bytes={file_bytes}")
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
 import errno
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -13,7 +14,16 @@ from wsikv import wal as wal_module
 from wsikv.cli import main
 from wsikv.oracle import IsolationPolicy
 from wsikv.txn import Database
-from wsikv.wal import CorruptLogError, WriteAheadLog
+from wsikv.wal import (
+    CHUNK_SIZE,
+    KIND_ABORT,
+    KIND_COMMIT,
+    KIND_TS_RESERVE,
+    MAGIC,
+    CorruptLogError,
+    WalRecord,
+    WriteAheadLog,
+)
 from wsikv.workload import BENCH_CSV_HEADER, CSV_HEADER
 
 FIXTURES = Path(__file__).resolve().parent.parent / "histories"
@@ -236,6 +246,70 @@ def test_recover_prints_rebuilt_state(tmp_path, capsys):
     assert "commit_records=5" in out
     assert "reserved_up_to=" in out
     assert "aborted=" not in out
+
+
+def recover_report(path, capsys):
+    assert main(["recover", str(path)]) == 0
+    return dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+
+
+def append_batch(path, *records):
+    """Append `records` to the log at `path` as one batch and close it;
+    returns the file's size after."""
+    wal = WriteAheadLog(path)
+    for rec in records:
+        ack = wal.append(rec)
+    ack.wait()
+    wal.close()
+    return path.stat().st_size
+
+
+def test_recover_reports_what_a_closed_log_holds(tmp_path, capsys):
+    path = tmp_path / "db.wal"
+    size = append_batch(
+        path,
+        WalRecord(KIND_TS_RESERVE, reserved_up_to=9),
+        WalRecord(KIND_COMMIT, 1, 2, (b"a", b"b")),
+        WalRecord(KIND_COMMIT, 3, 3, ()),  # a read-only commit, as older logs hold
+        WalRecord(KIND_ABORT, 4),
+        WalRecord(KIND_COMMIT, 5, 6, (b"a",)),
+    )
+    assert recover_report(path, capsys) == {
+        "commit_records": "2",
+        "tracked_rows": "2",
+        "t_max": "0",
+        "reserved_up_to": "9",
+        "logged_commits": "2",
+        "logged_reservations": "1",
+        "skipped_records": "2",
+        "intact_bytes": str(size),
+        "file_bytes": str(size),
+    }
+
+
+def test_recover_reports_a_torn_final_batch_it_dropped(tmp_path, capsys):
+    path = tmp_path / "db.wal"
+    intact = append_batch(path, WalRecord(KIND_COMMIT, 1, 2, (b"a",)))
+    size = append_batch(path, WalRecord(KIND_COMMIT, 3, 4, (b"b",)))
+    os.truncate(path, size - 3)
+    report = recover_report(path, capsys)
+    assert report["logged_commits"] == "1" and report["skipped_records"] == "0"
+    assert (report["intact_bytes"], report["file_bytes"]) == (str(intact), str(size - 3))
+    path.write_bytes(MAGIC + b"garbage")
+    report = recover_report(path, capsys)
+    assert report["logged_commits"] == report["logged_reservations"] == report["skipped_records"] == "0"
+    assert (report["intact_bytes"], report["file_bytes"]) == (str(len(MAGIC)), str(len(MAGIC) + 7))
+
+
+def test_recover_reports_the_zero_tail_of_a_log_never_closed(tmp_path, capsys):
+    path, crashed = tmp_path / "db.wal", tmp_path / "crashed.wal"
+    wal = WriteAheadLog(path)
+    wal.append(WalRecord(KIND_COMMIT, 1, 2, (b"a",))).wait()
+    shutil.copyfile(path, crashed)  # the file as a crash leaves it: preallocated, zero-filled past the batch
+    wal.close()
+    report = recover_report(crashed, capsys)
+    assert report["logged_commits"] == "1"
+    assert (report["intact_bytes"], report["file_bytes"]) == (str(path.stat().st_size), str(CHUNK_SIZE))
 
 
 def test_recover_missing_file_fails(tmp_path, capsys):

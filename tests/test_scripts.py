@@ -60,6 +60,11 @@ def test_op_costs_prints_the_cost_of_each_operation():
         "read_only_commit",
         "durable_read_only_commit",
         "write5_commit",
+        "wal_encode_commit5",
+        "wal_encode_commit1000",
+        "wal_decode_commit5",
+        "wal_decode_commit1000",
+        "recover_loaded",
     ]
     assert all(float(ns) > 0 for _, ns in rows)
 

@@ -11,7 +11,7 @@ import time
 import zlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import timestamp_blocks
 from wsikv import wal as wal_module
@@ -60,6 +60,117 @@ def test_record_round_trip(kind, start_ts, commit_ts, rows, reserved):
         rec = WalRecord(kind, start_ts, reserved_up_to=reserved)
     frame = rec.encode()
     assert decode_payload(frame[4:]) == rec
+
+
+# The codec frames and splits a record whose rows all have one length in one
+# call; these per-row loops are the format's reference.
+def reference_payload(start_ts, commit_ts, rows):
+    """A commit record's payload, framed row by row."""
+    parts = [struct.pack("<BQQI", KIND_COMMIT, start_ts, commit_ts, len(rows))]
+    for row in rows:
+        if len(row) > 0xFFFF:
+            raise ValueError("row identifier longer than 65535 bytes")
+        parts.append(struct.pack("<H", len(row)))
+        parts.append(row)
+    return b"".join(parts)
+
+
+def reference_decode(payload):
+    """A commit record's payload, split row by row."""
+    _, start_ts, commit_ts, count = struct.unpack_from("<BQQI", payload, 0)
+    off = 21
+    rows = []
+    for _ in range(count):
+        (n,) = struct.unpack_from("<H", payload, off)
+        off += 2
+        rows.append(payload[off : off + n])
+        off += n
+    if off != len(payload):
+        raise ValueError("trailing bytes in commit record")
+    return WalRecord(KIND_COMMIT, start_ts, commit_ts, tuple(rows))
+
+
+def assert_encodes_like_reference(rows):
+    """encode() of a commit of `rows` is the reference's bytes, and both
+    decoders read them back as that commit."""
+    rec = WalRecord(KIND_COMMIT, 3, 5, tuple(rows))
+    payload = reference_payload(3, 5, rec.rows)
+    assert rec.encode() == struct.pack("<I", len(payload)) + payload
+    assert decode_payload(payload) == reference_decode(payload) == rec
+
+
+def assert_decodes_like_reference(payload):
+    try:
+        expected = reference_decode(payload)
+    except (ValueError, struct.error) as exc:
+        with pytest.raises(type(exc)):
+            decode_payload(payload)
+    else:
+        assert decode_payload(payload) == expected
+
+
+def uniform_rows(count, length, seed):
+    rnd = random.Random(seed)
+    return [rnd.randbytes(length) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(1, 1200), length=st.integers(0, 40), seed=st.integers(0, 2**32))
+def test_rows_of_one_length_are_framed_as_row_by_row(count, length, seed):
+    assert_encodes_like_reference(uniform_rows(count, length, seed))
+
+
+@given(rows=st.lists(st.binary(max_size=40), max_size=8))
+def test_rows_of_mixed_lengths_are_framed_as_row_by_row(rows):
+    assert_encodes_like_reference(rows)
+
+
+@settings(deadline=None)
+@given(count=st.integers(3, 60), length=st.integers(1, 40), seed=st.integers(0, 2**32), data=st.data())
+def test_mixed_rows_as_long_as_rows_of_one_length_are_framed_as_row_by_row(count, length, seed, data):
+    # one row gives bytes to another: the payload has the length of `count`
+    # rows of the first row's length, so only the per-row lengths tell them apart
+    rows = uniform_rows(count, length, seed)
+    i, j = data.draw(st.lists(st.integers(1, count - 1), min_size=2, max_size=2, unique=True))
+    k = data.draw(st.integers(1, length))
+    rows[i], rows[j] = rows[i][:-k], rows[j] + rows[i][-k:]
+    assert_encodes_like_reference(rows)
+
+
+@settings(deadline=None)
+@given(count=st.integers(2, 60), length=st.integers(0, 40), seed=st.integers(0, 2**32), data=st.data())
+def test_a_later_row_length_changed_decodes_as_row_by_row(count, length, seed, data):
+    payload = bytearray(reference_payload(3, 5, uniform_rows(count, length, seed)))
+    i = data.draw(st.integers(1, count - 1))
+    wrong = data.draw(st.one_of(st.integers(0, length + 4), st.integers(0, 0xFFFF)).filter(lambda v: v != length))
+    struct.pack_into("<H", payload, 21 + i * (length + 2), wrong)
+    assert_decodes_like_reference(bytes(payload))
+
+
+@settings(deadline=None)
+@given(count=st.integers(1, 60), length=st.integers(0, 40), seed=st.integers(0, 2**32),
+       cut=st.integers(-4, 4).filter(bool))
+def test_rows_of_one_length_with_bytes_added_or_cut_decode_as_row_by_row(count, length, seed, cut):
+    payload = reference_payload(3, 5, uniform_rows(count, length, seed))
+    assert_decodes_like_reference(payload + bytes(cut) if cut > 0 else payload[:cut])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [(), (b"xx", b"y", b"zzz"), (b"\xff" * 0xFFFF,), (b"a" * 0xFFFF, b"b" * 0xFFFF), (b"", b"")],
+    ids=["no-rows", "lengths-add-up", "one-longest-row", "longest-rows", "empty-rows"],
+)
+def test_commit_record_edge_cases_are_framed_as_row_by_row(rows):
+    assert_encodes_like_reference(rows)
+
+
+@pytest.mark.parametrize(
+    "rows", [(b"a" * 0x10000,), (b"a" * 0x10000, b"b" * 0x10000), (b"a", b"b" * 0x10000)],
+    ids=["one-row", "rows-of-one-length", "mixed-lengths"],
+)
+def test_a_row_longer_than_65535_bytes_is_refused(rows):
+    with pytest.raises(ValueError, match="longer than 65535 bytes"):
+        WalRecord(KIND_COMMIT, 3, 5, rows).encode()
 
 
 def test_appends_are_flushed_together_by_the_first_waiter(tmp_path):
