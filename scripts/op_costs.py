@@ -19,6 +19,11 @@ thread, and the best of `--repeat` timings is printed:
 - `read_in_writer`: the same read on a handle that first wrote the five rows
   `write5_commit` writes, so the read looks past the handle's own writes
   (the read row is not one of them once `--rows` is 10 or more);
+- `read_cold`: every loaded row read once, in shuffled order, on handles
+  begun before the timer starts, a fresh one per 10 reads, in ns per read:
+  unlike `read`, which rereads one row that stays in the CPU's caches, each
+  read fetches a row's entry, list and value from memory, as the benchmark's
+  reads over 100k rows do;
 - `write`: `h.write(row, value)` on one handle and one row;
 - `read_only_commit`: `commit()` of a handle that read one row;
 - `durable_read_only_commit`: the same on the durable database, a second one,
@@ -26,6 +31,10 @@ thread, and the best of `--repeat` timings is printed:
   row; with no commit record in flight, it appends nothing and waits for
   nothing;
 - `write5_commit`: `commit()` of a handle that wrote five rows, none read;
+- `load_row`: loading `--rows` rows, as above, into a fresh database, in ns
+  per row; the timer's setup switches Python's cyclic collector back on,
+  which `timeit` turns off, since a load pays for the collections its
+  allocations set off;
 - `wal_encode_commit5`, `wal_encode_commit1000`: `encode()` of a commit
   record of 5 or 1 000 loaded row keys, in ns per record; the 1 000-row
   rows time `--number` / 100 records;
@@ -45,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
 import tempfile
 import time
@@ -117,6 +127,11 @@ def main() -> int:
     n, repeat = args.number, args.repeat
     row = row_key(args.rows // 2)
     write_rows = [row_key(i) for i in range(5)]
+    shuffled = [row_key(i) for i in range(args.rows)]
+    random.Random(0).shuffle(shuffled)
+
+    def cold_reads():
+        return [(db.begin(), shuffled[i : i + 10]) for i in range(0, args.rows, 10)]
 
     def read_only_handles(database):
         handles = [database.begin() for _ in range(n)]
@@ -142,7 +157,8 @@ def main() -> int:
         names = {"db": db, "durable": durable, "row": row, "value": VALUE, "write_rows": write_rows,
                  "read_only_handles": read_only_handles, "writing_handles": writing_handles,
                  "records": records, "payloads": payloads, "decode_payload": decode_payload,
-                 "Database": Database, "loaded_log": loaded_log}
+                 "Database": Database, "loaded_log": loaded_log, "cold_reads": cold_reads,
+                 "load": load, "rows": args.rows}
         costs = {
             "begin": best_ns("db.begin()", "", names, n, repeat, 1),
             "durable_begin": best_ns("durable.begin()", "", names, n, repeat, 1),
@@ -150,6 +166,10 @@ def main() -> int:
             "read": best_ns("h.read(row)", "h = db.begin()", names, n, repeat, 1),
             "read_in_writer": best_ns(
                 "h.read(row)", "h = db.begin()\nfor r in write_rows: h.write(r, value)", names, n, repeat, 1
+            ),
+            "read_cold": best_ns(
+                "for h, rs in groups:\n    for r in rs: h.read(r)", "groups = cold_reads()", names, 1, repeat,
+                args.rows,
             ),
             "write": best_ns("h.write(row, value)", "h = db.begin()", names, n, repeat, 1),
             "read_only_commit": best_ns(
@@ -161,6 +181,7 @@ def main() -> int:
             "write5_commit": best_ns(
                 "for h in hs: h.commit()", "hs = writing_handles()", names, 1, repeat, n
             ),
+            "load_row": best_ns("load(rows)", "import gc; gc.enable()", names, 1, repeat, args.rows),
             "wal_encode_commit5": best_ns("rec.encode()", "rec = records[5]", names, n, repeat, 1),
             "wal_encode_commit1000": best_ns("rec.encode()", "rec = records[1000]", names, big, repeat, 1),
             "wal_decode_commit5": best_ns("decode_payload(p)", "p = payloads[5]", names, n, repeat, 1),

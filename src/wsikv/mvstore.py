@@ -3,35 +3,37 @@
 The store holds committed versions only: a transaction keeps its writes in
 its own handle until the oracle decides it, so no reader can meet an
 undecided write and an abort leaves nothing here. On commit the oracle
-installs the writes inside its critical section: each becomes a
-(commit timestamp, value) pair appended to its row's committed list, which
-therefore stays ascending by commit timestamp. The store decides which version
-a reader sees; the commit timestamp alone names a version's writer, since no
-two transactions commit at the same timestamp. Start timestamps are drawn in
-that same critical section, so a reader never starts while a commit is half
-installed.
+installs the writes inside its critical section. Each row's versions live in
+one flat list, `[ts0, v0, ts1, v1, ...]`: a commit timestamp in each even
+slot, the value it wrote in the next odd one, in commit order, so the even
+slots stay ascending. A version is two slots of a list, not an object of its
+own, so an install allocates nothing the cyclic collector tracks. The store
+decides which version a reader sees; the commit timestamp alone names a
+version's writer, since no two transactions commit at the same timestamp.
+Start timestamps are drawn in that same critical section, so a reader never
+starts while a commit is half installed.
 
 The oracle's critical section is the store's only writer: `install` and
 `compact` run inside it and nowhere else, so the store has no lock, and no
-read takes one. A snapshot read returns the row's newest committed version
-when it committed before the reader started, and bisects the list by the
-reader's start otherwise. That is safe because:
+read takes one. A snapshot read takes the list's length once and looks only
+below it. It returns the row's newest committed version when that committed
+before the reader started, and bisects the even slots by the reader's start
+otherwise. That is safe because:
 
-(a) a row's committed list enters the map already holding its first version,
-    and `install` appends to it in commit order, so every version installed
-    after a reader starts has a larger commit timestamp than the reader's
-    start, and the newest version below that start is the newest the reader
-    can see;
-(b) a list is only ever appended to: `compact` replaces a list it cuts with a
-    trimmed copy that keeps the newest element, so a list a reader fetched
-    never shifts or loses an element, every version the reader can see was
-    installed before it fetched the list, and a version appended while it
-    bisects lands above its start;
-(c) a single `dict.get`, dict store, `dict.copy`, list append or
-    `list[-1]`, and a set add, remove, membership test or `min` over a set
-    of ints is atomic in CPython. The oracle's live set relies on the remove
-    and the `min`: `gc()` reads it while read-only commits remove from it
-    without a lock.
+(a) a row's list enters the map already holding its first version, and
+    `install` extends it in commit order, so every version installed after a
+    reader starts has a larger commit timestamp than the reader's start, and
+    the newest version below that start is the newest the reader can see;
+(b) a list is only ever extended: `compact` replaces a list it cuts with a
+    trimmed copy that keeps the newest slots, so a list a reader fetched
+    never shifts or loses a slot, and the slots below the length the reader
+    took hold every version it can see, in whole (timestamp, value) pairs;
+(c) a single `dict.get`, dict store, `dict.copy`, `len`, list index, or
+    list extend by a two-item tuple, and a set add, remove, membership test or
+    `min` over a set of ints is atomic in CPython, so a reader sees both slots
+    of a version or neither. The oracle's live set relies on the remove and
+    the `min`: `gc()` reads it while read-only commits remove from it without
+    a lock.
 
 Garbage collection walks only the rows holding three or more versions, which
 `install` lists in `_long` as each reaches three. `compact(low_watermark)`
@@ -58,8 +60,8 @@ class CellVersion(NamedTuple):
 
 class VersionedStore:
     def __init__(self):
-        # per row, (commit ts, value) in commit order
-        self._committed: dict[bytes, list[tuple[int, bytes]]] = {}
+        # per row, [commit ts, value, commit ts, value, ...] in commit order
+        self._committed: dict[bytes, list] = {}
         # each row holding three or more committed versions, once
         self._long: list[bytes] = []
 
@@ -70,10 +72,10 @@ class VersionedStore:
         for row, value in writes.items():
             versions = committed.get(row)
             if versions is None:  # enters the map holding its first version
-                committed[row] = [(commit_ts, value)]
+                committed[row] = [commit_ts, value]
             else:
-                versions.append((commit_ts, value))
-                if len(versions) == 3:
+                versions += (commit_ts, value)  # one extend: both slots or neither
+                if len(versions) == 6:
                     self._long.append(row)
 
     def snapshot_read(self, row: bytes, reader_start_ts: int) -> bytes | None:
@@ -81,11 +83,12 @@ class VersionedStore:
         versions = self._committed.get(row)
         if versions is None:
             return None
-        newest = versions[-1]
-        if newest[0] < reader_start_ts:
-            return newest[1]
-        i = bisect.bisect_left(versions, (reader_start_ts,))  # first at or after it
-        return versions[i - 1][1] if i else None
+        n = len(versions)
+        if versions[n - 2] < reader_start_ts:
+            return versions[n - 1]
+        # how many versions below n committed before the start; no key list built
+        i = bisect.bisect_left(range(0, n, 2), reader_start_ts, key=versions.__getitem__)
+        return versions[2 * i - 1] if i else None
 
     def newest_read(self, rows, reader_start_ts: int) -> int:
         """The newest commit timestamp among the committed versions of `rows`
@@ -98,12 +101,13 @@ class VersionedStore:
             versions = committed.get(row)
             if versions is None:
                 continue
-            seen = versions[-1][0]
+            n = len(versions)
+            seen = versions[n - 2]
             if seen >= reader_start_ts:
-                i = bisect.bisect_left(versions, (reader_start_ts,))
+                i = bisect.bisect_left(range(0, n, 2), reader_start_ts, key=versions.__getitem__)
                 if not i:
                     continue
-                seen = versions[i - 1][0]
+                seen = versions[2 * i - 2]
             if seen > newest:
                 newest = seen
         return newest
@@ -118,10 +122,10 @@ class VersionedStore:
         long = []
         for row in self._long:
             versions = committed[row]
-            i = bisect.bisect_left(versions, (low_watermark,))
+            i = bisect.bisect_left(range(0, len(versions), 2), low_watermark, key=versions.__getitem__)
             if i > 1:
-                versions = committed[row] = versions[i - 1 :]
-            if len(versions) > 2:
+                versions = committed[row] = versions[2 * i - 2 :]
+            if len(versions) > 4:
                 long.append(row)
         self._long = long
 
@@ -139,8 +143,8 @@ class VersionedStore:
 
     def versions(self, row: bytes) -> list[CellVersion]:
         """Committed versions of a row, newest commit first."""
-        committed = self._committed.get(row, ())
-        return [CellVersion(row, value, tc) for tc, value in reversed(committed)]
+        versions = self._committed.get(row, ())
+        return [CellVersion(row, versions[i + 1], versions[i]) for i in range(len(versions) - 2, -1, -2)]
 
     def rows(self) -> list[bytes]:
         """Rows holding at least one committed version."""

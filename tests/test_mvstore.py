@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -200,3 +201,86 @@ def test_compact_preserves_reads_at_or_above_watermark():
     # the newest version below the watermark survives with everything above it
     assert [v.commit_ts for v in store.versions(b"x")] == list(range(40, 19, -2)) + [18]
     assert store.snapshot_read(b"x", 41) == b"w39"
+
+
+ROWS = (b"a", b"b", b"c")
+_installs = st.tuples(st.sets(st.sampled_from(ROWS), min_size=1), st.integers(1, 3))  # (rows, ts step)
+_compacts = st.integers(0, 14)  # how far the watermark lies below the newest commit ts + 2
+
+
+def _visible(pairs, start):
+    """The newest (commit ts, value) pair committed before start, or None."""
+    return max((p for p in pairs if p[0] < start), default=None)
+
+
+def _newest(pairs_by_row, rows, start):
+    """The newest commit ts among `rows` that a reader at start sees, or 0."""
+    return max(((_visible(pairs_by_row[r], start) or (0,))[0] for r in rows), default=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(st.one_of(_installs, _compacts), max_size=45))
+def test_flat_layout_answers_as_a_model_of_pairs_does(ops):
+    # The model keeps every committed (commit ts, value) pair per row, and
+    # beside it the pairs the documented compaction keeps: of a row holding
+    # three or more versions, the newest below the watermark and all above
+    # it. The store must hold exactly those, read as brute force over them
+    # reads at every start, and at starts at or above every watermark so far
+    # read as brute force over all the pairs does. A single thread cannot
+    # tell the one-extend install from two appends; that is left to the race
+    # tests in test_txn.py.
+    store = VersionedStore()
+    history = {row: [] for row in ROWS}
+    kept = {row: [] for row in ROWS}
+    ts = high = 0
+    for op in ops:
+        if isinstance(op, tuple):
+            rows, step = op
+            ts += step
+            writes = {row: b"%d%s" % (ts, row) for row in sorted(rows)}
+            store.install(writes, ts)
+            for row, value in writes.items():
+                history[row].append((ts, value))
+                kept[row].append((ts, value))
+        else:
+            watermark = max(0, ts + 2 - op)
+            store.compact(watermark)
+            high = max(high, watermark)
+            for row, pairs in kept.items():
+                below = sum(tc < watermark for tc, _ in pairs)
+                if len(pairs) >= 3 and below > 1:
+                    kept[row] = pairs[below - 1 :]
+    for row in ROWS:
+        assert [(v.commit_ts, v.value) for v in store.versions(row)] == kept[row][::-1]
+        assert all(v.row == row for v in store.versions(row))
+    subsets = [[r for i, r in enumerate(ROWS) if mask >> i & 1] for mask in range(8)]
+    for start in range(0, ts + 3):
+        for row in ROWS:
+            seen = _visible(kept[row], start)
+            assert store.snapshot_read(row, start) == (seen[1] if seen else None)
+            if start >= high:
+                assert seen == _visible(history[row], start)
+        for rows in subsets:
+            assert store.newest_read(rows, start) == _newest(kept, rows, start)
+            if start >= high:
+                assert _newest(kept, rows, start) == _newest(history, rows, start)
+
+
+def test_installing_into_existing_rows_allocates_nothing_the_collector_tracks():
+    # A version is two slots of its row's list, not a (ts, value) tuple of its
+    # own, so installs into loaded rows leave no new object for the cyclic
+    # collector to walk: a tuple per version would grow the count by 5 000.
+    store = VersionedStore()
+    rows = [b"row:%04d" % i for i in range(1_000)]
+    store.install(dict.fromkeys(rows, b"loaded"), 1)
+    batches = [dict.fromkeys(rows, b"v%d" % k) for k in range(5)]
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        for ts, writes in enumerate(batches, start=2):
+            store.install(writes, ts)
+        grew = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert grew < 100
+    assert [v.commit_ts for v in store.versions(rows[0])] == [6, 5, 4, 3, 2, 1]

@@ -56,10 +56,12 @@ def test_op_costs_prints_the_cost_of_each_operation():
         "durable_begin_in_process",
         "read",
         "read_in_writer",
+        "read_cold",
         "write",
         "read_only_commit",
         "durable_read_only_commit",
         "write5_commit",
+        "load_row",
         "wal_encode_commit5",
         "wal_encode_commit1000",
         "wal_decode_commit5",
