@@ -42,7 +42,13 @@ thread, and the best of `--repeat` timings is printed:
   same records' payloads, in ns per record;
 - `recover_loaded`: `Database.recover()` and `close()` of a write-ahead log
   holding the `--rows` loaded rows, loaded as above into a durable database,
-  in ns per loaded row: the read of the file, its decoding and the replay.
+  in ns per loaded row: the read of the file, its decoding and the replay;
+- `recover_bounded`: `Database.recover(path, capacity=1000)` and `close()` of
+  a write-ahead log holding the `--rows` rows loaded in 1 000-row commits and
+  then `--rows` / 5 commits of 5 loaded rows each, written straight to the
+  log, in ns per logged record: a bounded table is rebuilt from the log's
+  tail, so its replay visits at most about 1 000 rows and the read and
+  decoding of the records are most of what is left.
 
 Commits are timed as a loop over `--number` handles made before the timer
 starts, so begins and writes do not count in them. The numbers are the
@@ -61,7 +67,7 @@ import time
 import timeit
 
 from wsikv import Database, WriteAheadLog
-from wsikv.wal import KIND_COMMIT, WalRecord, decode_payload
+from wsikv.wal import KIND_COMMIT, KIND_TS_RESERVE, WalRecord, decode_payload
 
 LOAD_TXN_ROWS = 1_000
 VALUE = b"v" * 16
@@ -80,6 +86,22 @@ def load(rows: int, wal: WriteAheadLog | None = None) -> Database:
         if not h.commit().committed:
             raise RuntimeError("a load transaction aborted")
     return db
+
+
+def write_bounded_log(path: str, rows: int) -> int:
+    """Write a log of `rows` rows loaded in 1 000-row commits, then rows // 5
+    commits of 5 loaded rows each, in ascending commit timestamps, behind one
+    reservation; return the number of records."""
+    keys = [row_key(i) for i in range(rows)]
+    writes = [keys[base : base + LOAD_TXN_ROWS] for base in range(0, rows, LOAD_TXN_ROWS)]
+    rng = random.Random(1)
+    writes += [sorted(rng.sample(keys, min(5, rows))) for _ in range(rows // 5)]
+    wal = WriteAheadLog(path)
+    wal.append(WalRecord(KIND_TS_RESERVE, reserved_up_to=2 * len(writes)))
+    for i, written in enumerate(writes, start=1):
+        wal.append(WalRecord(KIND_COMMIT, 2 * i - 1, 2 * i, tuple(written)))
+    wal.close()
+    return 1 + len(writes)
 
 
 def best_ns(stmt: str, setup: str, names: dict, number: int, repeat: int, per: int) -> float:
@@ -154,11 +176,13 @@ def main() -> int:
         durable.seed_committed(row, VALUE)
         loaded_log = os.path.join(tmp, "loaded.wal")
         load(args.rows, WriteAheadLog(loaded_log)).close()
+        bounded_log = os.path.join(tmp, "bounded.wal")
+        bounded_records = write_bounded_log(bounded_log, args.rows)
         names = {"db": db, "durable": durable, "row": row, "value": VALUE, "write_rows": write_rows,
                  "read_only_handles": read_only_handles, "writing_handles": writing_handles,
                  "records": records, "payloads": payloads, "decode_payload": decode_payload,
                  "Database": Database, "loaded_log": loaded_log, "cold_reads": cold_reads,
-                 "load": load, "rows": args.rows}
+                 "load": load, "rows": args.rows, "bounded_log": bounded_log}
         costs = {
             "begin": best_ns("db.begin()", "", names, n, repeat, 1),
             "durable_begin": best_ns("durable.begin()", "", names, n, repeat, 1),
@@ -187,6 +211,9 @@ def main() -> int:
             "wal_decode_commit5": best_ns("decode_payload(p)", "p = payloads[5]", names, n, repeat, 1),
             "wal_decode_commit1000": best_ns("decode_payload(p)", "p = payloads[1000]", names, big, repeat, 1),
             "recover_loaded": best_ns("Database.recover(loaded_log).close()", "", names, 1, repeat, args.rows),
+            "recover_bounded": best_ns(
+                "Database.recover(bounded_log, capacity=1000).close()", "", names, 1, repeat, bounded_records
+            ),
         }
         durable.close()
     print("op,ns_per_op")

@@ -31,7 +31,8 @@ a timestamp, every writing or aborting decision, every install in the store
 and every compaction of it runs inside it, so the timestamp oracle and the
 store have no lock of their own, and the oracle builds both and its commit
 table itself. Opening it on a log is recovery: `replay` rebuilds the table
-from the records the log read, and timestamps resume above the highest
+from the records the log read, a bounded one from the log's tail, so its
+per-row work stops at the capacity, and timestamps resume above the highest
 persisted reservation; `recover` does the same from a log file, read-only.
 A read-only commit takes no lock, draws no timestamp, and logs and stores
 nothing: it returns once every version it read is durable, and then leaves
@@ -102,7 +103,9 @@ class CommitTable:
     committed row to the end keeps last_commit in eviction order. A dict keeps
     deleted entries at the front of its entry array, where every eviction
     would walk them, so once the evictions since the last rebuild exceed the
-    capacity last_commit is copied afresh, in the same order.
+    capacity last_commit is copied afresh, in the same order. Recovery does
+    not replay those evictions: `replay` rebuilds a bounded table from the
+    log's tail, its newest `capacity` rows and the watermark below them.
     """
 
     def __init__(self, capacity: int | None = None):
@@ -142,18 +145,50 @@ class CommitTable:
 
 def replay(records, capacity: int | None = None):
     """(CommitTable, highest persisted timestamp reservation) rebuilt from log
-    records in append order. The table is built with the given capacity so
-    eviction and the watermark replay the same way they were produced. Abort
-    records and commit records with no rows, which older logs hold, are
-    skipped: the table holds writing commits only."""
+    records in append order: the table `apply_commit` built from the same
+    commits, entry order included. Abort records and commit records with no
+    rows, which older logs hold, are skipped: the table holds writing commits
+    only.
+
+    An unbounded table is built forward. A bounded one is built from the
+    tail, and the first row that no longer fits ends the walk, so its per-row
+    work is bounded by the capacity, not by the log. `apply_commit` moves a
+    committed row to the end and evicts from the front, so it leaves the last
+    `capacity` rows by latest commit, in commit order; t_max is the commit
+    timestamp of the entry just before them. That entry was evicted, so t_max
+    is at least its timestamp. And when any entry (r, t) was evicted, the
+    table kept `capacity` entries at or above t, since commits are logged in
+    commit-timestamp order, and r's latest commit is at or above t too:
+    `capacity` + 1 rows whose latest commit is at or above t, so the entry
+    just before the kept ones is at or above t."""
     table = CommitTable(capacity=capacity)
-    highest = 0
-    for rec in records:
-        if rec.kind == KIND_COMMIT and rec.rows:
-            table.apply_commit(rec.start_ts, rec.commit_ts, rec.rows)
-        elif rec.kind == KIND_TS_RESERVE:
-            highest = max(highest, rec.reserved_up_to)
+    commits = [rec for rec in records if rec.kind == KIND_COMMIT and rec.rows]
+    table.commit_records = {rec.start_ts: rec.commit_ts for rec in commits}
+    highest = max((rec.reserved_up_to for rec in records if rec.kind == KIND_TS_RESERVE), default=0)
+    if capacity is None:
+        last = table.last_commit
+        for rec in commits:
+            tc = rec.commit_ts
+            for row in rec.rows:
+                last[row] = tc
+    else:
+        newest, table.t_max = _newest_rows(commits, capacity)
+        table.last_commit = dict(reversed(newest.items()))
     return table, highest
+
+
+def _newest_rows(commits, capacity: int):
+    """(the `capacity` rows with the latest commits, newest first, mapped to
+    those commits; the commit timestamp of the next row, or 0 if none)."""
+    newest: dict[RowId, int] = {}
+    for rec in reversed(commits):
+        tc = rec.commit_ts
+        for row in reversed(rec.rows):
+            if row not in newest:
+                if len(newest) == capacity:
+                    return newest, tc
+                newest[row] = tc
+    return newest, 0
 
 
 def recover(path: str | os.PathLike, capacity: int | None = None):

@@ -132,6 +132,9 @@ class WalRecord(NamedTuple):
         return _U32.pack(len(payload)) + payload
 
 
+_new_record = tuple.__new__  # builds a WalRecord without its generated __new__
+
+
 def decode_payload(payload: bytes) -> WalRecord:
     kind, start_ts = _PREFIX.unpack_from(payload, 0)
     off = _PREFIX.size
@@ -144,7 +147,7 @@ def decode_payload(payload: bytes) -> WalRecord:
                 # rows of one length, if every length field says n: one unpack splits them
                 fields = struct.unpack_from("<" + "H%ds" % n * count, payload, off)
                 if fields[0::2].count(n) == count:
-                    return WalRecord(KIND_COMMIT, start_ts, commit_ts, fields[1::2])
+                    return _new_record(WalRecord, (KIND_COMMIT, start_ts, commit_ts, fields[1::2], 0))
         rows = []
         for _ in range(count):
             (n,) = _ROWLEN.unpack_from(payload, off)
@@ -153,16 +156,16 @@ def decode_payload(payload: bytes) -> WalRecord:
             off += n
         if off != len(payload):
             raise ValueError("trailing bytes in commit record")
-        return WalRecord(KIND_COMMIT, start_ts, commit_ts, tuple(rows))
+        return _new_record(WalRecord, (KIND_COMMIT, start_ts, commit_ts, tuple(rows), 0))
     if kind == KIND_ABORT:
         if off != len(payload):
             raise ValueError("trailing bytes in abort record")
-        return WalRecord(KIND_ABORT, start_ts)
+        return _new_record(WalRecord, (KIND_ABORT, start_ts, 0, (), 0))
     if kind == KIND_TS_RESERVE:
         (high,) = _RESERVE.unpack_from(payload, off)
         if off + _RESERVE.size != len(payload):
             raise ValueError("trailing bytes in reservation record")
-        return WalRecord(KIND_TS_RESERVE, start_ts, reserved_up_to=high)
+        return _new_record(WalRecord, (KIND_TS_RESERVE, start_ts, 0, (), high))
     raise ValueError(f"unknown record kind {kind}")
 
 

@@ -1,5 +1,6 @@
 import errno
 import os
+import random
 import shutil
 import struct
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from helpers import timestamp_blocks
 from wsikv import wal as wal_module
 from wsikv.cli import main
-from wsikv.oracle import IsolationPolicy
+from wsikv.oracle import CommitTable, IsolationPolicy
 from wsikv.txn import Database
 from wsikv.wal import (
     CHUNK_SIZE,
@@ -248,8 +249,8 @@ def test_recover_prints_rebuilt_state(tmp_path, capsys):
     assert "aborted=" not in out
 
 
-def recover_report(path, capsys):
-    assert main(["recover", str(path)]) == 0
+def recover_report(path, capsys, *options):
+    assert main(["recover", *options, str(path)]) == 0
     return dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
 
 
@@ -285,6 +286,23 @@ def test_recover_reports_what_a_closed_log_holds(tmp_path, capsys):
         "intact_bytes": str(size),
         "file_bytes": str(size),
     }
+
+
+def test_recover_with_a_capacity_reports_the_table_the_commits_built(tmp_path, capsys):
+    # 60 commits over 40 rows, some wider than the table, overflow it many times
+    rng = random.Random(5)
+    records = [
+        WalRecord(KIND_COMMIT, 2 * i - 1, 2 * i, tuple(sorted({b"r%02d" % rng.randrange(40) for _ in range(k)})))
+        for i, k in enumerate(rng.choices((1, 3, 25), k=60), start=1)
+    ]
+    path = tmp_path / "db.wal"
+    append_batch(path, *records)
+    live = CommitTable(capacity=16)
+    for rec in records:
+        live.apply_commit(rec.start_ts, rec.commit_ts, rec.rows)
+    report = recover_report(path, capsys, "--capacity", "16")
+    assert live.t_max > 0
+    assert (report["tracked_rows"], report["t_max"]) == ("16", str(live.t_max))
 
 
 def test_recover_reports_a_torn_final_batch_it_dropped(tmp_path, capsys):

@@ -19,8 +19,9 @@ from wsikv.oracle import (
     IsolationPolicy,
     StatusOracle,
     recover,
+    replay,
 )
-from wsikv.wal import KIND_TS_RESERVE, WriteAheadLog, read_records
+from wsikv.wal import KIND_ABORT, KIND_COMMIT, KIND_TS_RESERVE, WalRecord, WriteAheadLog, read_records
 
 SI, WSI = IsolationPolicy.SI, IsolationPolicy.WSI
 
@@ -229,6 +230,54 @@ def test_bounded_table_evicts_bulk_and_repeated_rows_like_the_model():
         table.apply_commit(1000 + tc, tc, rows)
         twin.apply_commit(1000 + tc, tc, rows)
         assert (table.last_commit, table.t_max) == (twin.last_commit, twin.t_max)
+
+
+REPLAY_ROWS = [b"r%02d" % i for i in range(24)]
+log_steps = st.lists(
+    st.one_of(
+        st.frozensets(st.sampled_from(REPLAY_ROWS), max_size=20),  # a commit; wider than some capacities
+        st.just("abort"),
+        st.integers(min_value=0, max_value=500),  # a timestamp reservation
+    ),
+    max_size=40,
+)
+
+
+def log_of(steps):
+    """The records of a log: commits in ascending commit timestamp, each with
+    sorted rows (empty ones are read-only commits, as older logs hold), abort
+    records and reservations."""
+    records = []
+    for ts, step in enumerate(steps, start=1):
+        if step == "abort":
+            records.append(WalRecord(KIND_ABORT, 2 * ts))
+        elif isinstance(step, int):
+            records.append(WalRecord(KIND_TS_RESERVE, reserved_up_to=step))
+        else:
+            records.append(WalRecord(KIND_COMMIT, 2 * ts - 1, 2 * ts, tuple(sorted(step))))
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=log_steps, capacity=st.sampled_from([1, 2, 3, 4, 16, None]))
+def test_replay_rebuilds_the_table_the_live_commits_built(steps, capacity):
+    records = log_of(steps)
+    table, highest = replay(records, capacity)
+    live, twin = CommitTable(capacity), TableTwin(capacity)
+    for rec in records:
+        if rec.kind == KIND_COMMIT and rec.rows:
+            live.apply_commit(rec.start_ts, rec.commit_ts, rec.rows)
+            twin.apply_commit(rec.start_ts, rec.commit_ts, rec.rows)
+    reserved = [rec.reserved_up_to for rec in records if rec.kind == KIND_TS_RESERVE]
+    # the order matters: later evictions take the table's front
+    assert list(table.last_commit.items()) == list(live.last_commit.items())
+    assert (table.t_max, table.commit_records) == (live.t_max, live.commit_records)
+    assert (table.last_commit, table.t_max, table.commit_records) == (
+        twin.last_commit,
+        twin.t_max,
+        twin.commit_records,
+    )
+    assert highest == max(reserved, default=0)
 
 
 def test_bounded_read_only_fast_path_skips_watermark():

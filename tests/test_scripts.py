@@ -67,6 +67,7 @@ def test_op_costs_prints_the_cost_of_each_operation():
         "wal_decode_commit5",
         "wal_decode_commit1000",
         "recover_loaded",
+        "recover_bounded",
     ]
     assert all(float(ns) > 0 for _, ns in rows)
 
