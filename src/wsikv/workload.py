@@ -212,13 +212,19 @@ GC_EVERY = 2000  # client 0 compacts the store after every GC_EVERY transactions
 def _drive(clients: int, total: int, worker) -> tuple[list, float]:
     """Split `total` operations across `clients` threads and run them together.
 
-    Each thread calls worker(idx, share, ready): the worker prepares, calls
+    Each thread pins itself to the highest CPU of the caller's affinity, where
+    the platform can pin threads, and leaves the caller's own as it is. The GIL
+    runs one client at a time, so one CPU costs no parallelism, while cross-CPU
+    hand-offs would make the rates follow how the host schedules its CPUs.
+    Then each thread calls worker(idx, share, ready): the worker prepares, calls
     ready() to wait for the others and then does its `share` of the work.
     The wall clock starts when the last worker is ready and stops when the
     last thread has joined, so preparation is not timed. Returns (per-client
-    worker results, wall seconds); the first exception a worker raised is
+    worker results, wall seconds); the first exception a pin or worker raised is
     raised instead, once every thread has joined.
     """
+    pin = getattr(os, "sched_setaffinity", None)
+    cpu = {max(os.sched_getaffinity(0))} if pin else None
     shares = [total // clients + (1 if i < total % clients else 0) for i in range(clients)]
     results = [None] * clients
     errors = []
@@ -227,6 +233,8 @@ def _drive(clients: int, total: int, worker) -> tuple[list, float]:
 
     def body(idx: int) -> None:
         try:
+            if pin:
+                pin(0, cpu)
             results[idx] = worker(idx, shares[idx], barrier.wait)
         except Exception as exc:
             errors.append(exc)
@@ -249,7 +257,7 @@ def run(
     wal_path=None,
     capacity: int | None = None,
 ) -> RunMetrics:
-    """Execute txn_count scripts across client_count concurrent clients.
+    """Execute txn_count scripts on client_count clients that share one CPU (see `_drive`).
 
     Aborts are terminal for their script; nothing is retried. Opening an
     existing log recovers it, so its timestamps are not decided again.
@@ -341,7 +349,7 @@ def bench_oracle(
 ) -> BenchResult:
     """Drive the status oracle, built as a database builds it, directly with
     synthetic commit requests; each commit installs its writes in its store,
-    as a database commit does."""
+    as a database commit does. The clients share one CPU, as `_drive` explains."""
     if clients < 1:
         raise ValueError("clients must be >= 1")
     if requests < 0:

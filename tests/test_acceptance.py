@@ -5,8 +5,6 @@ report lines. The heavyweight statistical criteria use fixed seeds so the
 suite is reproducible.
 """
 
-import contextlib
-import os
 import random
 import shutil
 import statistics
@@ -496,39 +494,24 @@ def test_c8_anomaly_suite(capsys):
 # -- 9. oracle throughput comparability ---------------------------------------------------
 
 
-@contextlib.contextmanager
-def _one_cpu():
-    """Pin the calling thread, and the threads it starts, to one CPU."""
-    if not hasattr(os, "sched_setaffinity"):
-        yield
-        return
-    saved = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {max(saved)})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, saved)
-
-
 def test_c9_policy_throughput_within_20_percent(capsys):
     # The host switches between speeds, so the ratio is taken within
     # adjacent SI/WSI pairs, alternating which policy runs first, and the
     # median pair decides; a uniform slowdown of one policy still shows in
-    # every pair. A warm-up run per policy comes first. The clients share one
-    # CPU, so that how the host spreads four GIL-bound threads over its CPUs
-    # does not set the rate of either policy.
+    # every pair. A warm-up run per policy comes first. bench_oracle pins its
+    # clients to one CPU (workload._drive), so that how the host spreads four
+    # GIL-bound threads over its CPUs does not set the rate of either policy.
     ratios = []
-    with _one_cpu():
-        for policy in (SI, WSI):
-            bench_oracle(policy, clients=4, requests=5_000, rows_per_txn=5, seed=90)
-        for pair in range(24):
-            rates = {}
-            for policy in (SI, WSI) if pair % 2 else (WSI, SI):
-                result = bench_oracle(
-                    policy, clients=4, requests=10_000, rows_per_txn=5, key_space=10_000, seed=91
-                )
-                rates[policy] = result.decisions_per_sec
-            ratios.append(rates[SI] / rates[WSI])
+    for policy in (SI, WSI):
+        bench_oracle(policy, clients=4, requests=5_000, rows_per_txn=5, seed=90)
+    for pair in range(24):
+        rates = {}
+        for policy in (SI, WSI) if pair % 2 else (WSI, SI):
+            result = bench_oracle(
+                policy, clients=4, requests=10_000, rows_per_txn=5, key_space=10_000, seed=91
+            )
+            rates[policy] = result.decisions_per_sec
+        ratios.append(rates[SI] / rates[WSI])
     m = statistics.median(ratios)
     ratio = max(m, 1 / m)
     with capsys.disabled():

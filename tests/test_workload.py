@@ -1,5 +1,8 @@
 import hashlib
+import itertools
+import os
 import random
+import threading
 import time
 from collections import Counter
 
@@ -279,6 +282,62 @@ def test_preparation_before_ready_is_not_timed():
     results, wall = wsikv.workload._drive(2, 3, worker)
     assert results == [2, 1]
     assert wall < 0.25
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="threads cannot be pinned")
+def test_drive_pins_its_clients_to_one_cpu_and_leaves_the_caller_alone(monkeypatch):
+    # the threads that pin are recorded too: a caller pinned by an earlier
+    # call would read the same affinity before and after
+    real_pin, pinned_by = os.sched_setaffinity, []
+
+    def pin(pid, cpus):
+        pinned_by.append(threading.get_ident())
+        real_pin(pid, cpus)
+
+    def worker(idx, share, ready):
+        ready()
+        return os.sched_getaffinity(0)
+
+    monkeypatch.setattr(os, "sched_setaffinity", pin)
+    before = os.sched_getaffinity(0)
+    results, _ = wsikv.workload._drive(3, 3, worker)
+    assert results == [{max(before)}] * 3
+    assert os.sched_getaffinity(0) == before
+    assert len(set(pinned_by)) == 3 and threading.get_ident() not in pinned_by
+
+
+def test_drive_runs_unpinned_where_threads_cannot_be_pinned(monkeypatch):
+    def worker(idx, share, ready):
+        ready()
+        return share
+
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    results, _ = wsikv.workload._drive(2, 3, worker)
+    assert results == [2, 1]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="threads cannot be pinned")
+def test_a_failed_pin_is_raised_and_does_not_hang_the_others(monkeypatch):
+    calls = itertools.count()
+
+    def pin(pid, cpus):
+        if next(calls) == 0:  # the others pin, then wait for the failed one in ready()
+            raise OSError("cannot pin")
+
+    monkeypatch.setattr(os, "sched_setaffinity", pin)
+    raised = []
+
+    def drive():
+        try:
+            wsikv.workload._drive(3, 3, lambda idx, share, ready: ready())
+        except Exception as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=drive, daemon=True)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive()
+    assert [type(exc) for exc in raised] == [OSError]
 
 
 class _YieldingOracle(StatusOracle):
